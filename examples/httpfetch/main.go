@@ -78,7 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nitu dataset: %s .. %s (cadence %s)\n", dd.First, dd.Last, dd.Cadence)
-	f, err := client.Frame(ctx, "itu", first)
+	f, err := client.Frame(ctx, "itu", first, "csv")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,25 +92,29 @@ func main() {
 		}
 	}
 
-	// Representation check: the same report is served as JSON and as the
-	// compact binary frame codec (Accept: application/x-frame-bin). Both
-	// must decode to the identical frame; the binary body is the one a
-	// bulk consumer would pick.
-	fj, err := client.FrameJSON(ctx, "cdn", first)
+	// Representation check: the same report is served as JSON, CSV and
+	// the two binary frame codecs. Every representation must decode to the
+	// identical frame; the binary bodies are the ones a bulk consumer
+	// would pick.
+	fj, err := client.Frame(ctx, "cdn", first, "json")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fb, err := client.FrameBin(ctx, "cdn", first)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !fj.Equal(fb) {
-		log.Fatal("JSON and binary representations decoded to different frames")
-	}
-	jsonLen, binLen := bodyLen(ctx, base+"/v1/cdn/reports/"+first.String()), bodyLen(ctx, base+"/v1/cdn/reports/"+first.String()+".bin")
-	fmt.Printf("\ncdn report %s: JSON and binary decode to the same %d-row frame\n", first, fb.Rows())
+	report := base + "/v1/cdn/reports/" + first.String()
+	jsonLen := bodyLen(ctx, report)
+	fmt.Printf("\ncdn report %s: every representation decodes to the same %d-row frame\n", first, fj.Rows())
 	fmt.Printf("  json body: %d bytes\n", jsonLen)
-	fmt.Printf("  bin  body: %d bytes (%.0f%% of JSON)\n", binLen, 100*float64(binLen)/float64(jsonLen))
+	for _, r := range []struct{ format, suffix string }{{"csv", ".csv"}, {"bin", ".bin"}, {"binz", ".binz"}} {
+		g, err := client.Frame(ctx, "cdn", first, r.format)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !g.Equal(fj) {
+			log.Fatalf("JSON and %s representations decoded to different frames", r.format)
+		}
+		n := bodyLen(ctx, report+r.suffix)
+		fmt.Printf("  %-4s body: %d bytes (%.0f%% of JSON)\n", r.format, n, 100*float64(n)/float64(jsonLen))
+	}
 }
 
 // bodyLen fetches a URL and returns its identity body length.

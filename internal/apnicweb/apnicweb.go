@@ -9,6 +9,9 @@
 //	GET /v1/{dataset}/dates                    served range + cadence, JSON
 //	GET /v1/{dataset}/reports/{date}.csv       one day's frame as CSV
 //	GET /v1/{dataset}/reports/{date}           one day's frame as JSON
+//	GET /v1/{dataset}/reports/{date}.bin       ... as the binary columnar codec
+//	GET /v1/{dataset}/reports/{date}.binz      ... as the compressed binary codec
+//	    (one row each of the representation table, see repr.go)
 //	GET /v1/{dataset}/series/{key}?cc=XX&from=&to=&step=   per-row series, JSON
 //
 // Legacy APNIC aliases (responses byte-identical to the APNIC-only server):
@@ -49,6 +52,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,9 +62,7 @@ import (
 	"repro/internal/dates"
 	"repro/internal/obsv"
 	"repro/internal/source"
-	"repro/internal/source/binfmt"
 	"repro/internal/source/bundle"
-	"repro/internal/source/framez"
 	"repro/internal/syncx"
 	"repro/internal/world"
 )
@@ -73,9 +75,9 @@ import (
 // serialize the whole request path or, when naively double-checked,
 // generate the same day twice under load.)
 //
-// The caches are bounded LRUs (NewServerCached sets the capacity, default
-// DefaultCacheDays): a scan over a multi-year range no longer pins every
-// day's report, CSV, and row index in memory forever. Eviction is safe
+// The caches are bounded LRUs (NewMultiServer sets the capacity): a
+// scan over a multi-year range no longer pins every day's report, CSV,
+// and row index in memory forever. Eviction is safe
 // because every artifact is a pure function of (seed, date) — an evicted
 // day regenerates byte-identically on the next request.
 type Server struct {
@@ -91,10 +93,10 @@ type Server struct {
 	metrics  *obsv.Registry
 	writeCSV func(*apnic.Report, io.Writer) error // seam for render-failure tests
 
-	// Streaming seams: the identity CSV/JSON report paths write the frame
-	// straight to the client; tests inject mid-stream failures here.
-	writeFrameCSV  func(*source.Frame, io.Writer) error
-	writeFrameJSON func(*source.Frame, io.Writer) error
+	// reprs is the server's own copy of the representation table (see
+	// repr.go), so tests can swap a row's stream on one server.
+	reprs   []repr
+	encoded encodedBodies // memoized bytes of the encoded rows
 
 	csv   *syncx.LRU[dates.Date, csvDay]              // legacy APNIC CSV per day
 	index *syncx.LRU[dates.Date, map[seriesKey]int32] // (ASN, CC) → row position per day
@@ -112,9 +114,9 @@ type Server struct {
 	liveState
 }
 
-// DefaultCacheDays bounds each day cache when NewServer is used: a year
-// of reports, which covers the usual serving window while keeping a
-// multi-year scan from growing the process without limit.
+// DefaultCacheDays is the usual day-cache capacity: a year of reports,
+// which covers the serving window while keeping a multi-year scan from
+// growing the process without limit.
 const DefaultCacheDays = 365
 
 type csvDay struct {
@@ -129,8 +131,8 @@ type frameKey struct {
 	day     int // dates.Date.DayNumber()
 }
 
-// gzKey identifies one pre-compressed representation: the repr
-// distinguishes codecs ("csv", "json", "legacy") because the same
+// gzKey identifies one pre-compressed representation: the repr name
+// distinguishes codecs ("csv", "json", "bin", "legacy") because the same
 // dataset-day compresses to different bytes under each.
 type gzKey struct {
 	repr    string
@@ -145,53 +147,31 @@ type seriesKey struct {
 	cc  string
 }
 
-// NewServer returns an APNIC-only server for [first, last] with
-// DefaultCacheDays of bounded day caching.
-func NewServer(gen *apnic.Generator, first, last dates.Date) *Server {
-	return NewServerCached(gen, first, last, DefaultCacheDays)
-}
-
-// NewServerCached returns an APNIC-only server whose day caches each hold
-// at most cacheDays entries, evicting least recently used days. cacheDays
-// < 1 is clamped to 1. The generic routes serve the single "apnic"
-// dataset; NewMultiServer serves the full roster.
-func NewServerCached(gen *apnic.Generator, first, last dates.Date, cacheDays int) *Server {
-	metrics := obsv.NewRegistry()
-	reg := source.NewRegistry(metrics, cacheDays)
-	apnicSrc := apnic.NewSource(gen, metrics, cacheDays)
-	reg.Register(apnicSrc)
-	return newServer(reg, apnicSrc, first, last, cacheDays, metrics)
-}
-
 // NewMultiServer builds the full seven-dataset roster over one world and
 // serves every dataset under /v1/{dataset}/..., with the legacy APNIC
-// routes aliasing the "apnic" dataset.
+// routes aliasing the "apnic" dataset. Each day cache holds at most
+// cacheDays days per dataset (the server's own caches clamp cacheDays
+// < 1 to 1), evicting least recently used days.
 func NewMultiServer(w *world.World, seed uint64, first, last dates.Date, cacheDays int) *Server {
 	metrics := obsv.NewRegistry()
 	b := bundle.New(w, seed, bundle.Config{Metrics: metrics, CacheDays: cacheDays})
-	return newServer(b.Registry, b.APNIC, first, last, cacheDays, metrics)
-}
-
-func newServer(reg *source.Registry, apnicSrc *apnic.Source, first, last dates.Date, cacheDays int, metrics *obsv.Registry) *Server {
+	reg := b.Registry
 	if cacheDays < 1 {
 		cacheDays = 1
 	}
-	// Idempotent when the bundle already injected them; the APNIC-only
-	// constructors build a bare registry that must learn the codecs here.
-	reg.SetBinCodec(binfmt.Encode)
-	reg.SetBinzCodec(framez.Encode)
 	rosterCap := cacheDays * max(1, len(reg.Names()))
+	table := slices.Clone(reprs)
 	s := &Server{
-		reg:            reg,
-		apnicSrc:       apnicSrc,
-		first:          first,
-		last:           last,
-		metrics:        metrics,
-		writeCSV:       (*apnic.Report).WriteCSV,
-		writeFrameCSV:  (*source.Frame).WriteCSV,
-		writeFrameJSON: (*source.Frame).WriteJSON,
-		csv:            syncx.NewLRU[dates.Date, csvDay](cacheDays),
-		index:          syncx.NewLRU[dates.Date, map[seriesKey]int32](cacheDays),
+		reg:      reg,
+		apnicSrc: b.APNIC,
+		first:    first,
+		last:     last,
+		metrics:  metrics,
+		writeCSV: (*apnic.Report).WriteCSV,
+		reprs:    table,
+		encoded:  newEncodedBodies(table, reg, metrics),
+		csv:      syncx.NewLRU[dates.Date, csvDay](cacheDays),
+		index:    syncx.NewLRU[dates.Date, map[seriesKey]int32](cacheDays),
 		// One day-budget per dataset: the generic caches serve the whole
 		// roster, so their capacity scales with the roster size.
 		etags: syncx.NewLRU[frameKey, string](rosterCap),
@@ -372,46 +352,28 @@ func (s *Server) handleDatasetDates(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleDatasetReport serves one dataset-day in one of four
-// representations: "{date}.csv" as frame CSV, "{date}.bin" (or a bare
-// date with Accept: application/x-frame-bin) as the binary columnar
-// encoding, "{date}.binz" (or Accept: application/x-frame-binz) as the
-// compressed binary encoding, and a bare "{date}" otherwise as frame
-// JSON. All four carry a strong ETag derived from the frame content
-// hash (variant-suffixed, so no two representations share a validator)
-// and negotiate gzip through serveImmutable — except binz, which is
-// already entropy-coded and always serves identity. Text identity
-// bodies stream row-by-row and are never materialized server-side;
-// binary bodies are served from the registry's memoized encodings — the
-// compact artifact IS the cache.
+// handleDatasetReport serves one dataset-day in the representation the
+// request resolves to (resolveRepr: path suffix, then Accept, then the
+// bare-date JSON). Every representation carries a strong ETag derived
+// from the frame content hash, suffixed with the row name so no two
+// representations share a validator, and negotiates gzip through
+// serveImmutable where its row allows it.
 func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 	src, ok := s.lookupDataset(w, r)
 	if !ok {
 		return
 	}
-	name := r.PathValue("date")
-	var wantCSV, wantBin, wantBinz bool
-	if trimmed, ok := strings.CutSuffix(name, ".csv"); ok {
-		name, wantCSV = trimmed, true
-	} else if trimmed, ok := strings.CutSuffix(name, framez.Suffix); ok {
-		name, wantBinz = trimmed, true
-	} else if trimmed, ok := strings.CutSuffix(name, binfmt.Suffix); ok {
-		name, wantBin = trimmed, true
-	} else if accept := r.Header.Get("Accept"); acceptsFrameBinz(accept) {
-		// A client naming both frame media types gets the compressed one.
-		wantBinz = true
-	} else {
-		wantBin = acceptsFrameBin(accept)
-	}
+	name, row := resolveRepr(s.reprs, r.PathValue("date"), r.Header.Get("Accept"))
 	d, err := dates.Parse(name)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, "bad date (want YYYY-MM-DD, YYYY-MM-DD.csv, YYYY-MM-DD.bin or YYYY-MM-DD.binz)")
+		jsonError(w, http.StatusBadRequest, badDate)
 		return
 	}
 	if d.Before(s.first) || d.After(s.last) {
 		jsonError(w, http.StatusNotFound, "date out of served range")
 		return
 	}
+	b := immutableBody{row: row, dataset: src.Name(), day: d}
 	f, err := s.reg.Frame(src.Name(), d)
 	if err == nil {
 		// Pre-flight the frame shape before any byte is written: once the
@@ -419,14 +381,8 @@ func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 		// error detectable up front must become a clean 500 here.
 		err = f.Check()
 	}
-	var binBody []byte
-	if err == nil {
-		switch {
-		case wantBin:
-			binBody, err = s.reg.FrameBin(src.Name(), d)
-		case wantBinz:
-			binBody, err = s.reg.FrameBinz(src.Name(), d)
-		}
+	if err == nil && row.encode != nil {
+		b.body, err = s.encoded.get(row, src.Name(), d, f)
 	}
 	if err != nil {
 		s.renderErrs.Inc()
@@ -436,41 +392,13 @@ func (s *Server) handleDatasetReport(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusInternalServerError, "report generation failed: "+err.Error())
 		return
 	}
-	b := immutableBody{
-		dataset: src.Name(),
-		day:     d,
-		hash:    s.frameHash(src.Name(), d, f),
-		fail: func(code int, msg string) {
-			s.renderErrs.Inc()
-			jsonError(w, code, msg)
-		},
+	b.hash = s.frameHash(src.Name(), d, f)
+	b.fail = func(code int, msg string) {
+		s.renderErrs.Inc()
+		jsonError(w, code, msg)
 	}
-	// The generic report routes negotiate their representation from the
-	// Accept header, so every response (all four representations — the
-	// suffix paths serve the same resources) must tell shared caches the
-	// body varies on it.
-	b.varyAccept = true
-	switch {
-	case wantBin:
-		b.repr, b.contentType = "bin", binfmt.ContentType
-		b.body = binBody
-		// Binary bodies are materialized (the memoized artifact is the
-		// response), so the exact length can be declared up front.
-		b.declareLen = true
-	case wantBinz:
-		b.repr, b.contentType = "binz", framez.ContentType
-		b.body = binBody
-		b.declareLen = true
-		// Already entropy-coded: gzip on top costs CPU on both ends for
-		// negative savings, so the representation is identity-only and
-		// never enters the pre-compressed LRU.
-		b.noGzip = true
-	case wantCSV:
-		b.repr, b.contentType = "csv", "text/csv; charset=utf-8"
-		b.stream = func(w io.Writer) error { return s.writeFrameCSV(f, w) }
-	default:
-		b.repr, b.contentType = "json", "application/json"
-		b.stream = func(w io.Writer) error { return s.writeFrameJSON(f, w) }
+	if row.stream != nil {
+		b.stream = func(w io.Writer) error { return row.stream(f, w) }
 	}
 	s.serveImmutable(w, r, b)
 }
@@ -483,21 +411,18 @@ func (s *Server) frameHash(dataset string, d dates.Date, f *source.Frame) string
 }
 
 // immutableBody describes one immutable dataset-day representation for
-// serveImmutable: a pre-rendered identity body (legacy CSV, whose bytes
-// are cached anyway for the byte-identity contract) or a streamable
-// render (generic frame routes). Exactly one of body and stream is set.
+// serveImmutable: a materialized identity body (an encoded row, or the
+// legacy CSV, whose bytes are cached anyway for the byte-identity
+// contract) or a streamable render (the text rows). Exactly one of body
+// and stream is set.
 type immutableBody struct {
-	repr        string // representation key: "csv", "json", "bin", "binz", "legacy"
-	dataset     string
-	day         dates.Date
-	contentType string
-	hash        string                // content hash, the ETag base
-	body        []byte                // identity bytes, when already materialized
-	stream      func(io.Writer) error // identity streamer otherwise
-	declareLen  bool                  // set Content-Length for identity body bytes
-	noGzip      bool                  // pre-compressed representation: identity only
-	varyAccept  bool                  // representation was negotiated from Accept
-	fail        func(code int, msg string)
+	row     *repr
+	dataset string
+	day     dates.Date
+	hash    string                // content hash, the ETag base
+	body    []byte                // identity bytes, when already materialized
+	stream  func(io.Writer) error // identity streamer otherwise
+	fail    func(code int, msg string)
 }
 
 // serveImmutable finishes a report response: ETag / If-None-Match
@@ -511,25 +436,15 @@ type immutableBody struct {
 // last, after every fallible step, because once it starts the only
 // honest way to report failure is aborting the connection (streamBody).
 func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immutableBody) {
-	gz := !b.noGzip && acceptsGzip(r.Header.Get("Accept-Encoding"))
-	variant := b.repr
+	gz := b.row.gzip && acceptsGzip(r.Header.Get("Accept-Encoding"))
+	variant := b.row.name
 	if gz {
 		variant += ".gz"
 	}
 	etag := source.FormatETag(b.hash, variant)
 	h := w.Header()
-	if b.varyAccept {
-		// The generic routes pick csv/json/bin/binz from the Accept header
-		// (the bare-date path most visibly): without Accept in Vary a
-		// shared cache could answer a browser's JSON request with a binary
-		// body stored for a frame client. Sent on 304s too — revalidation
-		// updates stored response metadata.
-		h.Set("Vary", "Accept, Accept-Encoding")
-	} else {
-		// Legacy routes serve one fixed representation per path; their
-		// headers (like their bytes) are pinned by the compatibility tests.
-		h.Set("Vary", "Accept-Encoding")
-	}
+	// Sent on 304s too: revalidation updates stored response metadata.
+	h.Set("Vary", b.row.vary)
 	h.Set("ETag", etag)
 	h.Set("Cache-Control", "public, max-age=86400")
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
@@ -537,7 +452,7 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h.Set("Content-Type", b.contentType)
+	h.Set("Content-Type", b.row.contentType)
 	if r.Method == http.MethodHead {
 		// Go 1.22 "GET /..." patterns also match HEAD, and before this
 		// check a HEAD request fell through to the body paths: the
@@ -552,7 +467,7 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 			h.Set("Content-Encoding", "gzip")
 			s.encGzip.Inc()
 		} else {
-			if b.body != nil && b.declareLen {
+			if b.body != nil && b.row.declareLen {
 				h.Set("Content-Length", strconv.Itoa(len(b.body)))
 			}
 			s.encIdentity.Inc()
@@ -564,7 +479,7 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 		body, err := s.gzipBody(b)
 		if err != nil {
 			if s.Log != nil {
-				s.Log.Printf("gzip render error dataset=%s repr=%s date=%s err=%q", b.dataset, b.repr, b.day, err)
+				s.Log.Printf("gzip render error dataset=%s repr=%s date=%s err=%q", b.dataset, b.row.name, b.day, err)
 			}
 			// Strip the success-only headers: a 500 carrying a public
 			// max-age Cache-Control (or a validator) could get cached.
@@ -588,9 +503,9 @@ func (s *Server) serveImmutable(w http.ResponseWriter, r *http.Request, b immuta
 		// Content-Length is deliberately not set for the legacy route:
 		// net/http chunks large bodies exactly as it did before the
 		// conditional layer existed, keeping those responses
-		// byte-identical on the wire. The binary route opts in instead —
-		// its body is a materialized artifact with a known length.
-		if b.declareLen {
+		// byte-identical on the wire. The encoded rows opt in instead —
+		// their body is a materialized artifact with a known length.
+		if b.row.declareLen {
 			h.Set("Content-Length", strconv.Itoa(len(b.body)))
 		}
 		w.Write(b.body)
@@ -613,7 +528,7 @@ func (s *Server) streamBody(w http.ResponseWriter, b immutableBody) {
 	if err := b.stream(w); err != nil {
 		s.streamAborts.Inc()
 		if s.Log != nil {
-			s.Log.Printf("stream abort dataset=%s repr=%s date=%s err=%q", b.dataset, b.repr, b.day, err)
+			s.Log.Printf("stream abort dataset=%s repr=%s date=%s err=%q", b.dataset, b.row.name, b.day, err)
 		}
 		panic(http.ErrAbortHandler)
 	}
@@ -641,7 +556,7 @@ var gzipWriters = sync.Pool{
 // output is deterministic for a fixed input and level, so a refill after
 // eviction is byte-identical.
 func (s *Server) gzipBody(b immutableBody) ([]byte, error) {
-	day := s.gzips.Get(gzKey{b.repr, b.dataset, b.day.DayNumber()}, func() csvDay {
+	day := s.gzips.Get(gzKey{b.row.name, b.dataset, b.day.DayNumber()}, func() csvDay {
 		var buf bytes.Buffer
 		zw := gzipWriters.Get().(*gzip.Writer)
 		zw.Reset(&buf)
@@ -901,11 +816,12 @@ func (s *Server) handleDates(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("date")
-	if !strings.HasSuffix(name, ".csv") {
+	trimmed, ok := strings.CutSuffix(name, legacy.suffix)
+	if !ok {
 		http.Error(w, "want /v1/reports/<YYYY-MM-DD>.csv", http.StatusNotFound)
 		return
 	}
-	d, err := dates.Parse(strings.TrimSuffix(name, ".csv"))
+	d, err := dates.Parse(trimmed)
 	if err != nil {
 		http.Error(w, "bad date", http.StatusBadRequest)
 		return
@@ -926,15 +842,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The identity body stays the cached native render, byte-identical to
-	// the pre-conditional server; the "legacy" repr keys a separate gzip
+	// the pre-conditional server; the "legacy" row keys a separate gzip
 	// cache slot because these bytes differ from the frame-CSV codec's.
 	s.serveImmutable(w, r, immutableBody{
-		repr:        "legacy",
-		dataset:     apnic.DatasetName,
-		day:         d,
-		contentType: "text/csv; charset=utf-8",
-		hash:        hash,
-		body:        body,
+		row:     &legacy,
+		dataset: apnic.DatasetName,
+		day:     d,
+		hash:    hash,
+		body:    body,
 		fail: func(code int, msg string) {
 			s.renderErrs.Inc()
 			http.Error(w, msg, code)
@@ -1105,9 +1020,18 @@ func (c *Client) DatasetDates(ctx context.Context, dataset string) (DatasetDates
 	return dd, nil
 }
 
-// Frame fetches and parses one dataset-day from the generic CSV route.
-func (c *Client) Frame(ctx context.Context, dataset string, d dates.Date) (*source.Frame, error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/reports/", d.String()+".csv")
+// Frame fetches one dataset-day in the named representation ("csv",
+// "json", "bin" or "binz") from its suffix path, checks the response's
+// Content-Type against the representation, and decodes the body. A "bin"
+// frame aliases the response buffer (zero-copy decode, a constant number
+// of allocations regardless of row count); the other decoders return
+// frames that own their memory.
+func (c *Client) Frame(ctx context.Context, dataset string, d dates.Date, format string) (*source.Frame, error) {
+	row, ok := lookupRepr(reprs, format)
+	if !ok {
+		return nil, fmt.Errorf("apnicweb: unknown representation %q", format)
+	}
+	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/reports/", d.String()+row.suffix)
 	if err != nil {
 		return nil, err
 	}
@@ -1123,111 +1047,16 @@ func (c *Client) Frame(ctx context.Context, dataset string, d dates.Date) (*sour
 	if resp.StatusCode != http.StatusOK {
 		return nil, errorf(u, resp)
 	}
-	f, err := source.ReadCSV(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("apnicweb: parsing %s %s: %w", dataset, d, err)
-	}
-	return f, nil
-}
-
-// FrameJSON fetches and parses one dataset-day from the generic JSON
-// route (the bare-date representation).
-func (c *Client) FrameJSON(ctx context.Context, dataset string, d dates.Date) (*source.Frame, error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/reports/", d.String())
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorf(u, resp)
-	}
-	f, err := source.ReadJSON(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("apnicweb: parsing %s %s: %w", dataset, d, err)
-	}
-	return f, nil
-}
-
-// FrameBin fetches one dataset-day over the binary representation and
-// zero-copy decodes it: the returned frame aliases the response buffer,
-// so the fetch costs one body read plus a constant number of
-// allocations, regardless of row count. It negotiates via the Accept
-// header rather than the .bin path suffix, exercising the content-type
-// route a proxying client would use.
-func (c *Client) FrameBin(ctx context.Context, dataset string, d dates.Date) (*source.Frame, error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/reports/", d.String())
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", binfmt.ContentType)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorf(u, resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != binfmt.ContentType {
-		return nil, fmt.Errorf("apnicweb: GET %s: server answered %q, not %q", u, ct, binfmt.ContentType)
+	if ct := resp.Header.Get("Content-Type"); ct != row.contentType {
+		return nil, fmt.Errorf("apnicweb: GET %s: server answered %q, not %q", u, ct, row.contentType)
 	}
 	buf, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("apnicweb: reading %s %s: %w", dataset, d, err)
 	}
-	f, err := binfmt.Decode(buf)
+	f, err := row.decode(buf)
 	if err != nil {
-		return nil, fmt.Errorf("apnicweb: decoding %s %s: %w", dataset, d, err)
-	}
-	return f, nil
-}
-
-// FrameBinz fetches one dataset-day over the compressed binary
-// representation and decodes it. Like FrameBin it negotiates via the
-// Accept header; unlike FrameBin the returned frame owns its memory
-// (framez decode is self-contained), so the response buffer is garbage
-// the moment decoding returns. The server never gzips this
-// representation, so the body read is the wire transfer.
-func (c *Client) FrameBinz(ctx context.Context, dataset string, d dates.Date) (*source.Frame, error) {
-	u, err := url.JoinPath(c.BaseURL, "/v1/", dataset, "/reports/", d.String())
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", framez.ContentType)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorf(u, resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != framez.ContentType {
-		return nil, fmt.Errorf("apnicweb: GET %s: server answered %q, not %q", u, ct, framez.ContentType)
-	}
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("apnicweb: reading %s %s: %w", dataset, d, err)
-	}
-	f, err := framez.Decode(buf)
-	if err != nil {
-		return nil, fmt.Errorf("apnicweb: decoding %s %s: %w", dataset, d, err)
+		return nil, fmt.Errorf("apnicweb: decoding %s %s %s: %w", format, dataset, d, err)
 	}
 	return f, nil
 }

@@ -25,7 +25,7 @@ var (
 
 func testServer(t *testing.T) (*httptest.Server, *Client) {
 	t.Helper()
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
@@ -212,7 +212,7 @@ func itoa(v uint32) string { return strconv.FormatUint(uint64(v), 10) }
 // the generator ran exactly once per distinct day (singleflight), every
 // response is served, and repeated days return byte-identical CSV.
 func TestServerSingleflightHammer(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -274,7 +274,7 @@ func TestServerSingleflightHammer(t *testing.T) {
 // global lock: total singleflight entries equal distinct days and each
 // day's bytes are stable.
 func TestServerRenderConcurrentDistinctDays(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
 	days := make([]dates.Date, 8)
 	for i := range days {
 		days[i] = dates.New(2024, 6, 1+i)

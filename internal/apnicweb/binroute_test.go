@@ -15,8 +15,12 @@ import (
 )
 
 // TestAcceptsFrameBin is the table suite for binary content negotiation:
-// only a request that names the media type opts in.
+// only a request that names the bin row's media type opts in.
 func TestAcceptsFrameBin(t *testing.T) {
+	row, ok := lookupRepr(reprs, "bin")
+	if !ok || !row.negotiable || row.contentType != binfmt.ContentType {
+		t.Fatal("the table has no negotiable bin row of the binary media type")
+	}
 	cases := []struct {
 		header string
 		want   bool
@@ -33,8 +37,8 @@ func TestAcceptsFrameBin(t *testing.T) {
 		{`text/html, */*;q=0.8`, false},
 	}
 	for _, tc := range cases {
-		if got := acceptsFrameBin(tc.header); got != tc.want {
-			t.Errorf("acceptsFrameBin(%q) = %v, want %v", tc.header, got, tc.want)
+		if got := acceptsMediaType(tc.header, row.contentType); got != tc.want {
+			t.Errorf("acceptsMediaType(%q, %q) = %v, want %v", tc.header, row.contentType, got, tc.want)
 		}
 	}
 }
@@ -79,10 +83,10 @@ func TestBinaryRouteDecodesToSameFrame(t *testing.T) {
 			t.Errorf("%s: Accept-negotiated body differs from the .bin route", name)
 		}
 
-		// The client helper agrees with both.
-		g, err := c.FrameBin(context.Background(), name, d)
+		// The client agrees with both.
+		g, err := c.Frame(context.Background(), name, d, "bin")
 		if err != nil {
-			t.Fatalf("%s: client FrameBin: %v", name, err)
+			t.Fatalf("%s: client bin fetch: %v", name, err)
 		}
 		if !g.Equal(want) {
 			t.Errorf("%s: client-decoded frame differs", name)

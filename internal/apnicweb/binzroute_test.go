@@ -13,10 +13,14 @@ import (
 	"repro/internal/source/framez"
 )
 
-// TestAcceptsFrameBinz is the negotiation table for the compressed
-// binary representation: same opt-in-only rules as the raw binary
-// plane, and naming both frame types selects binz.
+// TestAcceptsFrameBinz is the table suite for binz content negotiation:
+// only a request that names the binz row's media type opts in, and the
+// raw binary type does not select the compressed one.
 func TestAcceptsFrameBinz(t *testing.T) {
+	row, ok := lookupRepr(reprs, "binz")
+	if !ok || !row.negotiable || row.contentType != framez.ContentType {
+		t.Fatal("the table has no negotiable binz row of the binz media type")
+	}
 	cases := []struct {
 		header string
 		want   bool
@@ -34,15 +38,15 @@ func TestAcceptsFrameBinz(t *testing.T) {
 		{`application/*`, false}, // ditto
 	}
 	for _, tc := range cases {
-		if got := acceptsFrameBinz(tc.header); got != tc.want {
-			t.Errorf("acceptsFrameBinz(%q) = %v, want %v", tc.header, got, tc.want)
+		if got := acceptsMediaType(tc.header, row.contentType); got != tc.want {
+			t.Errorf("acceptsMediaType(%q, %q) = %v, want %v", tc.header, row.contentType, got, tc.want)
 		}
 	}
 }
 
 // TestVaryAcceptOnReportRoutes is the regression suite for the Vary
 // header: the generic report routes negotiate their representation from
-// Accept (acceptsFrameBin/acceptsFrameBinz on the bare-date path), so a
+// Accept (the negotiable rows on the bare-date path), so a
 // shared cache keying only on Accept-Encoding could serve a binary body
 // to a browser that asked for JSON. Every generic report response —
 // including 304s, which caches also store — must list Accept in Vary.
@@ -144,10 +148,10 @@ func TestBinzRouteDecodesToSameFrame(t *testing.T) {
 			}
 		}
 
-		// The client helper agrees.
-		g, err := c.FrameBinz(context.Background(), name, d)
+		// The client agrees.
+		g, err := c.Frame(context.Background(), name, d, "binz")
 		if err != nil {
-			t.Fatalf("%s: client FrameBinz: %v", name, err)
+			t.Fatalf("%s: client binz fetch: %v", name, err)
 		}
 		if !g.Equal(want) {
 			t.Errorf("%s: client-decoded frame differs", name)

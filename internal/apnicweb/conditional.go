@@ -25,9 +25,6 @@ import (
 	"encoding/hex"
 	"strconv"
 	"strings"
-
-	"repro/internal/source/binfmt"
-	"repro/internal/source/framez"
 )
 
 // etagMatch reports whether any entity tag in an If-None-Match header
@@ -77,23 +74,10 @@ func acceptsGzip(acceptEncoding string) bool {
 	return false
 }
 
-// acceptsFrameBin reports whether the request's Accept header asks for
-// the binary frame representation: an application/x-frame-bin member
-// whose q-value is not zero. The wildcard types text routes default to
-// (*/*, application/*) deliberately do NOT select binary — a browser
-// must keep getting JSON; only a client that names the media type opts
-// into the binary plane.
-func acceptsFrameBin(accept string) bool {
-	return acceptsMediaType(accept, binfmt.ContentType)
-}
-
-// acceptsFrameBinz is the same opt-in for the compressed binary
-// representation (application/x-frame-binz). A client naming both frame
-// media types gets binz: it asked for the denser plane.
-func acceptsFrameBinz(accept string) bool {
-	return acceptsMediaType(accept, framez.ContentType)
-}
-
+// acceptsMediaType reports whether an Accept header names the media type
+// with a q-value that is not zero. Only an exact (case-insensitive) match
+// counts: the wildcard types browsers send (*/*, application/*) never
+// select a representation that must be opted into.
 func acceptsMediaType(accept, want string) bool {
 	for _, part := range strings.Split(accept, ",") {
 		mediaType, params, _ := strings.Cut(part, ";")

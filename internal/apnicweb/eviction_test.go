@@ -18,7 +18,7 @@ import (
 // an evicted day regenerates byte-identically.
 func TestBoundedCacheEviction(t *testing.T) {
 	const capacity = 4
-	srv := NewServerCached(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31), capacity)
+	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), capacity)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -85,7 +85,7 @@ func TestBoundedCacheEviction(t *testing.T) {
 // for concurrent serving with in-flight eviction on the full HTTP path.
 func TestBoundedCacheHammer(t *testing.T) {
 	const capacity, days, goroutines, reqs = 3, 12, 8, 30
-	srv := NewServerCached(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31), capacity)
+	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), capacity)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -22,14 +22,13 @@ import (
 // no body — even when the underlying renderer would fail, because HEAD
 // never renders.
 func TestHeadStreamingRoutes(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
-	// Poison the streaming seams: any attempt to render a body on the
+	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
+	// Poison the streaming rows: any attempt to render a body on the
 	// HEAD path shows up as a failure.
-	srv.writeFrameCSV = func(*source.Frame, io.Writer) error {
-		return errors.New("HEAD must not render")
-	}
-	srv.writeFrameJSON = func(*source.Frame, io.Writer) error {
-		return errors.New("HEAD must not render")
+	for _, name := range []string{"csv", "json"} {
+		tableRow(t, srv, name).stream = func(*source.Frame, io.Writer) error {
+			return errors.New("HEAD must not render")
+		}
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -130,7 +129,7 @@ func TestHeadGzipAndLegacyRoutes(t *testing.T) {
 // ranks, revision ETag + 304 revalidation, and the stream_* pipeline
 // metrics visible on the same /metrics the server already serves.
 func TestLiveEndpoint(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -267,7 +266,7 @@ func TestLiveEndpoint(t *testing.T) {
 
 // TestLiveHead: HEAD on the live route carries the validator, no body.
 func TestLiveHead(t *testing.T) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
 	est := stream.NewRollingEstimator(testGen)
 	d := dates.New(2024, 4, 21)
 	est.Observe(stream.Impression{Day: d, CC: "FR", ASN: 64500, Weight: 200})

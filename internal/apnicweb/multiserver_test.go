@@ -41,7 +41,7 @@ func TestAllDatasetsServed(t *testing.T) {
 		if dd.Dataset != name || dd.First != "2024-01-01" || dd.Last != "2024-12-31" || dd.Cadence == "" {
 			t.Fatalf("%s dates = %+v", name, dd)
 		}
-		f, err := c.Frame(context.Background(), name, d)
+		f, err := c.Frame(context.Background(), name, d, "csv")
 		if err != nil {
 			t.Fatalf("%s report: %v", name, err)
 		}
@@ -130,11 +130,11 @@ func TestLegacyAliasesByteIdentical(t *testing.T) {
 		t.Errorf("legacy /v1/dates = %q, want %q", got, wantDates)
 	}
 
-	// The series alias must serve the same bytes as an APNIC-only server
-	// built over the same generator.
+	// The series alias must serve the same bytes as a second server built
+	// over the same world and seed.
 	row := srv.apnicSrc.Generator().Generate(d).Rows[0]
 	q := "/v1/series/AS" + itoa(row.ASN) + "?cc=" + row.CC + "&from=2024-04-20&to=2024-04-22"
-	solo := httptest.NewServer(NewServer(srv.apnicSrc.Generator(), dates.New(2024, 1, 1), dates.New(2024, 12, 31)).Handler())
+	solo := httptest.NewServer(NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays).Handler())
 	defer solo.Close()
 	soloResp, err := http.Get(solo.URL + q)
 	if err != nil {

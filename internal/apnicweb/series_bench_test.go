@@ -38,7 +38,7 @@ func BenchmarkSeriesLookupLinearScan(b *testing.B) {
 }
 
 func BenchmarkSeriesLookupIndexed(b *testing.B) {
-	srv := NewServer(testGen, dates.New(2024, 1, 1), dates.New(2024, 12, 31))
+	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
 	d := dates.New(2024, 4, 10)
 	rep := srv.report(d)
 	key := benchTarget(rep)

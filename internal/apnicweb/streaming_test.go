@@ -193,8 +193,9 @@ func TestStreamErrorAbortsConnection(t *testing.T) {
 	d := dates.New(2024, 10, 2)
 	path := "/v1/cdn/reports/" + d.String() + ".csv"
 
-	realWrite := srv.writeFrameCSV
-	srv.writeFrameCSV = func(f *source.Frame, w io.Writer) error {
+	csvRow := tableRow(t, srv, "csv")
+	realWrite := csvRow.stream
+	csvRow.stream = func(f *source.Frame, w io.Writer) error {
 		// Write past net/http's 4KB response buffer so the 200 and a
 		// partial body are committed to the wire before the failure.
 		row := []byte("FR,example,123456\n")
@@ -227,9 +228,9 @@ func TestStreamErrorAbortsConnection(t *testing.T) {
 		t.Errorf("stream abort counter = %d, want 1", n)
 	}
 
-	// Restore the seam: the same day must serve completely — identity
+	// Restore the row: the same day must serve completely — identity
 	// bodies are never byte-cached, so the abort left nothing behind.
-	srv.writeFrameCSV = realWrite
+	csvRow.stream = realWrite
 	resp = rawGet(t, ts, path, nil)
 	body := readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
@@ -257,7 +258,7 @@ func TestGzipRenderErrorCleanrooms500(t *testing.T) {
 	d := dates.New(2024, 10, 3)
 	path := "/v1/mlab/reports/" + d.String() + ".csv"
 
-	srv.writeFrameCSV = func(*source.Frame, io.Writer) error {
+	tableRow(t, srv, "csv").stream = func(*source.Frame, io.Writer) error {
 		return errors.New("render failed before any byte")
 	}
 	resp := rawGet(t, ts, path, map[string]string{"Accept-Encoding": "gzip"})

@@ -10,6 +10,7 @@ import (
 // HTTPMetrics is an http.Handler middleware that records, per route:
 //
 //	http_requests_total{route=...,class=...}   counter per status class
+//	                                           (or "aborted", see Wrap)
 //	http_request_seconds{route=...}            latency histogram
 //	http_response_bytes_total{route=...}       bytes written
 //
@@ -110,6 +111,13 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // Wrap instruments next with metrics and request logging.
+//
+// The request is recorded in a deferred call, so a handler that panics
+// is still counted and logged: http.ErrAbortHandler is how a streaming
+// handler reports a mid-body failure, and such a request would otherwise
+// reach neither the metrics nor the log. It is recorded under the status
+// class "aborted" (whatever status was already on the wire), and the
+// panic then continues to net/http unchanged.
 func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 	now := m.now
 	if now == nil {
@@ -118,24 +126,32 @@ func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := now()
 		sw := &statusWriter{ResponseWriter: w}
+		completed := false
+		defer func() {
+			elapsed := now().Sub(start)
+			route := r.URL.Path
+			if m.Route != nil {
+				route = m.Route(r)
+			}
+			// An aborted request logs the status already sent, if any.
+			class, aborted := "aborted", " aborted=true"
+			if completed {
+				if sw.status == 0 {
+					sw.status = http.StatusOK
+				}
+				class, aborted = statusClass(sw.status), ""
+			}
+			s := m.lookup(route, class)
+			s.requests.Inc()
+			s.latency.Observe(elapsed.Seconds())
+			s.bytes.Add(sw.bytes)
+
+			if m.Log != nil {
+				m.Log.Printf("http method=%s route=%s path=%s status=%d bytes=%d dur=%s%s",
+					r.Method, route, r.URL.Path, sw.status, sw.bytes, elapsed.Round(time.Microsecond), aborted)
+			}
+		}()
 		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		elapsed := now().Sub(start)
-
-		route := r.URL.Path
-		if m.Route != nil {
-			route = m.Route(r)
-		}
-		s := m.lookup(route, statusClass(sw.status))
-		s.requests.Inc()
-		s.latency.Observe(elapsed.Seconds())
-		s.bytes.Add(sw.bytes)
-
-		if m.Log != nil {
-			m.Log.Printf("http method=%s route=%s path=%s status=%d bytes=%d dur=%s",
-				r.Method, route, r.URL.Path, sw.status, sw.bytes, elapsed.Round(time.Microsecond))
-		}
+		completed = true
 	})
 }

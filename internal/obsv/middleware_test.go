@@ -137,3 +137,34 @@ func TestMiddlewareConcurrent(t *testing.T) {
 		t.Errorf("hot route count = %d, want %d", got, goroutines*iters)
 	}
 }
+
+// TestMiddlewareRecordsAbort: a handler that panics (http.ErrAbortHandler
+// is how a streaming handler aborts mid-body) is still counted, under
+// the status class "aborted", and logged; the panic itself continues to
+// the server unchanged.
+func TestMiddlewareRecordsAbort(t *testing.T) {
+	reg := NewRegistry()
+	var logBuf bytes.Buffer
+	m := &HTTPMetrics{Registry: reg, Log: log.New(&logBuf, "", 0), now: fakeNow(time.Millisecond)}
+	h := m.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("partial"))
+		panic(http.ErrAbortHandler)
+	}))
+	func() {
+		defer func() {
+			if p := recover(); p != http.ErrAbortHandler {
+				t.Errorf("recovered %v, want the handler's http.ErrAbortHandler", p)
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/stream", nil))
+	}()
+	if got := reg.Counter(`http_requests_total{route="/stream",class="aborted"}`).Value(); got != 1 {
+		t.Errorf("aborted count = %d, want 1", got)
+	}
+	if got := reg.Counter(`http_requests_total{route="/stream",class="2xx"}`).Value(); got != 0 {
+		t.Errorf("aborted request also counted as 2xx (%d)", got)
+	}
+	if want := "route=/stream path=/stream status=200 bytes=7 dur=1ms aborted=true"; !strings.Contains(logBuf.String(), want) {
+		t.Errorf("request log missing %q:\n%s", want, logBuf.String())
+	}
+}

@@ -16,8 +16,6 @@ import (
 	"repro/internal/mlab"
 	"repro/internal/obsv"
 	"repro/internal/source"
-	"repro/internal/source/binfmt"
-	"repro/internal/source/framez"
 	"repro/internal/world"
 )
 
@@ -105,12 +103,6 @@ func New(w *world.World, seed uint64, cfg Config) *Bundle {
 		Broadband: broadband.NewSource(bbGen, metrics, days),
 		IXP:       ixp.NewSource(ixpGen, metrics, days),
 	}
-	// The binary frame codecs live above source (binfmt and framez both
-	// import it), so this is also where the registry learns to encode
-	// frames; every consumer built from the bundle can then serve both
-	// FrameBin and FrameBinz.
-	b.Registry.SetBinCodec(binfmt.Encode)
-	b.Registry.SetBinzCodec(framez.Encode)
 	b.Registry.Register(b.APNIC)
 	b.Registry.Register(b.CDN)
 	b.Registry.Register(b.ITU)

@@ -49,6 +49,18 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 		for i := range f.Cols {
 			rec[i] = f.Cols[i].Cell(r)
 		}
+		if len(rec) == 1 && rec[0] == "" {
+			// encoding/csv writes a lone empty field as an empty line,
+			// which its reader skips: the row would vanish on decode.
+			// Quote it so the record survives.
+			if cw.Flush(); cw.Error() != nil {
+				return cw.Error()
+			}
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return err
+			}
+			continue
+		}
 		if err := cw.Write(rec); err != nil {
 			return err
 		}

@@ -12,27 +12,6 @@ import (
 // ErrUnknownSource is returned when a dataset name is not registered.
 var ErrUnknownSource = errors.New("source: unknown dataset")
 
-// ErrNoBinCodec is returned by FrameBin when no binary codec has been
-// injected with SetBinCodec.
-var ErrNoBinCodec = errors.New("source: no binary frame codec registered")
-
-// ErrNoBinzCodec is returned by FrameBinz when no compressed binary
-// codec has been injected with SetBinzCodec.
-var ErrNoBinzCodec = errors.New("source: no compressed binary frame codec registered")
-
-// BinCodec serializes a frame into its binary wire form. The registry
-// cannot import binfmt or framez (both import this package for Frame),
-// so the codecs are injected at wiring time — bundle.New hands in
-// binfmt.Encode and framez.Encode.
-type BinCodec func(*Frame) ([]byte, error)
-
-// binResult memoizes one day's encoded bytes together with the encode
-// error, so a deterministic failure is not retried per request.
-type binResult struct {
-	b   []byte
-	err error
-}
-
 // DefaultCacheDays bounds each dataset's frame cache when no capacity is
 // given: a year of frames per dataset.
 const DefaultCacheDays = 365
@@ -48,15 +27,11 @@ type Registry struct {
 	mu      sync.RWMutex
 	names   []string // registration order
 	entries map[string]*regEntry
-	bin     BinCodec
-	binz    BinCodec
 }
 
 type regEntry struct {
 	src    Source
 	frames *Days[*Frame]
-	bins   *Days[binResult]
-	binzs  *Days[binResult]
 }
 
 // NewRegistry returns a registry whose per-dataset frame caches hold at
@@ -91,8 +66,6 @@ func (r *Registry) Register(s Source) {
 	r.entries[name] = &regEntry{
 		src:    s,
 		frames: NewDays[*Frame](r.metrics, "source_frame", name, r.capacity),
-		bins:   NewDays[binResult](r.metrics, "source_bin", name, r.capacity),
-		binzs:  NewDays[binResult](r.metrics, "source_binz", name, r.capacity),
 	}
 	r.names = append(r.names, name)
 }
@@ -131,88 +104,6 @@ func (r *Registry) Frame(name string, d dates.Date) (*Frame, error) {
 		return nil, fmt.Errorf("%w %q", ErrUnknownSource, name)
 	}
 	return e.frames.Get(d, e.src.Generate), nil
-}
-
-// SetBinCodec injects the binary frame codec FrameBin encodes with.
-func (r *Registry) SetBinCodec(codec BinCodec) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.bin = codec
-}
-
-// FrameBin returns the memoized binary encoding of one dataset-day,
-// sharing the frame layer's memoization: a cold binary request fills the
-// frame cache too, and the encoded bytes are then cached independently
-// (prefix "source_bin") so repeat binary hits skip the frame entirely.
-// The returned slice is shared: callers must treat it as read-only.
-func (r *Registry) FrameBin(name string, d dates.Date) ([]byte, error) {
-	e, ok := r.entry(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownSource, name)
-	}
-	r.mu.RLock()
-	codec := r.bin
-	r.mu.RUnlock()
-	if codec == nil {
-		return nil, ErrNoBinCodec
-	}
-	res := e.bins.Get(d, func(d dates.Date) binResult {
-		b, err := codec(e.frames.Get(d, e.src.Generate))
-		return binResult{b: b, err: err}
-	})
-	return res.b, res.err
-}
-
-// FrameBinCacheStats returns the binary-encoding cache activity for one
-// dataset.
-func (r *Registry) FrameBinCacheStats(name string) (CacheStats, bool) {
-	e, ok := r.entry(name)
-	if !ok {
-		return CacheStats{}, false
-	}
-	return e.bins.Stats(), true
-}
-
-// SetBinzCodec injects the compressed binary frame codec FrameBinz
-// encodes with.
-func (r *Registry) SetBinzCodec(codec BinCodec) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.binz = codec
-}
-
-// FrameBinz returns the memoized compressed binary encoding of one
-// dataset-day, mirroring FrameBin: a cold request fills the frame cache,
-// and the compressed bytes are cached independently (prefix
-// "source_binz") so repeat hits pay neither the generate nor the
-// transform+deflate cost. The returned slice is shared: callers must
-// treat it as read-only.
-func (r *Registry) FrameBinz(name string, d dates.Date) ([]byte, error) {
-	e, ok := r.entry(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownSource, name)
-	}
-	r.mu.RLock()
-	codec := r.binz
-	r.mu.RUnlock()
-	if codec == nil {
-		return nil, ErrNoBinzCodec
-	}
-	res := e.binzs.Get(d, func(d dates.Date) binResult {
-		b, err := codec(e.frames.Get(d, e.src.Generate))
-		return binResult{b: b, err: err}
-	})
-	return res.b, res.err
-}
-
-// FrameBinzCacheStats returns the compressed-encoding cache activity
-// for one dataset.
-func (r *Registry) FrameBinzCacheStats(name string) (CacheStats, bool) {
-	e, ok := r.entry(name)
-	if !ok {
-		return CacheStats{}, false
-	}
-	return e.binzs.Stats(), true
 }
 
 // Window returns the registered source's window.
