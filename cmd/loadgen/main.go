@@ -67,11 +67,11 @@ func main() {
 		herdSize  = flag.Int("herd-size", 16, "goroutines per herd")
 		liveCCs   = flag.String("live-countries", "FR,DE,US,BR,JP",
 			"comma-separated countries for the live-poll route share (empty = no live traffic)")
-		verify    = flag.Bool("verify", true, "hash bodies and fail on byte drift per path+encoding")
-		out       = flag.String("out", "BENCH_load.json", "output path")
-		baseline  = flag.String("baseline", "", "baseline report for the gates and history (default: -out before overwrite)")
-		maxPct    = flag.Float64("max-regress-pct", 0, "fail if worst p99 regresses more than this percent vs baseline (0 = no gate)")
-		maxErr    = flag.Float64("max-error-rate", 0, "fail if the error rate exceeds this fraction (negative = no gate)")
+		verify   = flag.Bool("verify", true, "hash bodies and fail on byte drift per path+encoding")
+		out      = flag.String("out", "BENCH_load.json", "output path")
+		baseline = flag.String("baseline", "", "baseline report for the gates and history (default: -out before overwrite)")
+		maxPct   = flag.Float64("max-regress-pct", 0, "fail if worst p99 regresses more than this percent vs baseline (0 = no gate)")
+		maxErr   = flag.Float64("max-error-rate", 0, "fail if the error rate exceeds this fraction (negative = no gate)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "loadgen: ", 0)

@@ -1,6 +1,7 @@
 package apnic
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/dates"
@@ -20,5 +21,23 @@ func TestGenerateAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() { g.Generate(d) })
 	if allocs > budget {
 		t.Fatalf("apnic.Generate allocates %v times per run, budget %d", allocs, budget)
+	}
+}
+
+// TestWriteCSVAllocBudget: the report CSV costs the same handful of
+// allocations (encoder, buffers, date string) for 10 rows as for 10,000;
+// a string per cell would add tens of thousands.
+func TestWriteCSVAllocBudget(t *testing.T) {
+	const budget = 16
+	rep := testGen().Generate(dates.New(2024, 4, 21))
+	for len(rep.Rows) < 10000 {
+		rep.Rows = append(rep.Rows, rep.Rows...)
+	}
+	small := &Report{Date: rep.Date, Window: rep.Window, Rows: rep.Rows[:10]}
+	large := &Report{Date: rep.Date, Window: rep.Window, Rows: rep.Rows[:10000]}
+	a := testing.AllocsPerRun(5, func() { small.WriteCSV(io.Discard) })
+	b := testing.AllocsPerRun(5, func() { large.WriteCSV(io.Discard) })
+	if b > budget || a != b && !raceEnabled {
+		t.Fatalf("WriteCSV allocates %v times for 10 rows and %v for 10,000; want equal and at most %d", a, b, budget)
 	}
 }

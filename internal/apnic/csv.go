@@ -7,38 +7,48 @@ import (
 	"strconv"
 
 	"repro/internal/dates"
+	"repro/internal/source"
 )
 
 // csvHeader mirrors the public dataset's column names (§3.2).
 var csvHeader = []string{"Rank", "AS", "AS Name", "CC", "Estimated Users", "% of Country", "% of Internet", "Samples"}
 
-// WriteCSV serializes a report in the dataset's column layout.
+// WriteCSV serializes a report in the dataset's column layout, through
+// the same allocation-free encoder as the frame codec.
 func (r *Report) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	meta := []string{"# date", r.Date.String(), "window-days", strconv.Itoa(r.Window), "", "", "", ""}
-	if err := cw.Write(meta); err != nil {
+	e := source.NewCSVEncoder(w)
+	e.Field("# date")
+	e.Field(r.Date.String())
+	e.Field("window-days")
+	e.Int(int64(r.Window))
+	for range 4 {
+		e.Field("")
+	}
+	if err := e.EndRecord(); err != nil {
 		return err
 	}
-	if err := cw.Write(csvHeader); err != nil {
+	for _, h := range csvHeader {
+		e.Field(h)
+	}
+	if err := e.EndRecord(); err != nil {
 		return err
 	}
+	var as []byte
 	for _, row := range r.Rows {
-		rec := []string{
-			strconv.Itoa(row.Rank),
-			"AS" + strconv.FormatUint(uint64(row.ASN), 10),
-			row.ASName,
-			row.CC,
-			strconv.FormatFloat(row.Users, 'f', 2, 64),
-			strconv.FormatFloat(row.PctCountry, 'f', 4, 64),
-			strconv.FormatFloat(row.PctInternet, 'f', 6, 64),
-			strconv.FormatInt(row.Samples, 10),
-		}
-		if err := cw.Write(rec); err != nil {
+		e.Int(int64(row.Rank))
+		as = strconv.AppendUint(append(as[:0], "AS"...), uint64(row.ASN), 10)
+		e.FieldBytes(as)
+		e.Field(row.ASName)
+		e.Field(row.CC)
+		e.Float(row.Users, 'f', 2)
+		e.Float(row.PctCountry, 'f', 4)
+		e.Float(row.PctInternet, 'f', 6)
+		e.Int(row.Samples)
+		if err := e.EndRecord(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return e.Flush()
 }
 
 // ReadCSV parses a report written by WriteCSV.

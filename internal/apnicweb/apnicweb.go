@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -549,6 +550,27 @@ var gzipWriters = sync.Pool{
 	},
 }
 
+// fillBufs pools the scratch buffers that cache fills render into,
+// beside gzipWriters. Each fill keeps one exact-size copy of what it
+// rendered, so a buffer's growth chain is paid once per pooled buffer
+// instead of once per fill, and no cached body — the gzip LRU holds a
+// year of them — carries the up-to-2x slack capacity of a grown buffer.
+var fillBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// fill runs render into a pooled scratch buffer and returns an
+// exact-size copy of what it wrote.
+func fill(render func(io.Writer) error) ([]byte, error) {
+	buf := fillBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		fillBufs.Put(buf)
+	}()
+	if err := render(buf); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(buf.Bytes()), nil
+}
+
 // gzipBody returns the cached gzip representation, rendering and
 // compressing it at most once per (repr, dataset, day) while resident.
 // The fill renders from the immutable artifact, never from a client
@@ -557,27 +579,26 @@ var gzipWriters = sync.Pool{
 // eviction is byte-identical.
 func (s *Server) gzipBody(b immutableBody) ([]byte, error) {
 	day := s.gzips.Get(gzKey{b.row.name, b.dataset, b.day.DayNumber()}, func() csvDay {
-		var buf bytes.Buffer
-		zw := gzipWriters.Get().(*gzip.Writer)
-		zw.Reset(&buf)
-		var err error
-		if b.body != nil {
-			_, err = zw.Write(b.body)
-		} else {
-			err = b.stream(zw)
-		}
-		if cerr := zw.Close(); err == nil {
-			err = cerr
-		}
-		// Pool even after an error: Reset clears sticky write errors, and
-		// a closed writer is reusable by contract.
-		gzipWriters.Put(zw)
-		if err != nil {
-			// Deterministic render: the failure recurs on every attempt,
-			// so caching it is sound (and repeat requests see one message).
-			return csvDay{err: err}
-		}
-		return csvDay{body: buf.Bytes()}
+		body, err := fill(func(buf io.Writer) error {
+			zw := gzipWriters.Get().(*gzip.Writer)
+			zw.Reset(buf)
+			var err error
+			if b.body != nil {
+				_, err = zw.Write(b.body)
+			} else {
+				err = b.stream(zw)
+			}
+			if cerr := zw.Close(); err == nil {
+				err = cerr
+			}
+			// Pool even after an error: Reset clears sticky write errors,
+			// and a closed writer is reusable by contract.
+			gzipWriters.Put(zw)
+			return err
+		})
+		// Deterministic render: a failure recurs on every attempt, so
+		// caching it is sound (and repeat requests see one message).
+		return csvDay{body: body, err: err}
 	})
 	return day.body, day.err
 }
@@ -626,24 +647,57 @@ func seriesSelector(dataset, key, cc string) (map[string]string, string, error) 
 }
 
 // matchRow returns the index of the first row whose cells equal the
-// selector, or -1. Cells compare in codec form, so int columns match
-// their decimal strings.
+// selector, or -1. A selector value matches a cell whose codec form (the
+// frame CSV's text) it is. Each value is parsed once for its column's
+// kind — an int column matches only its canonical decimal, so "007" and
+// "+7" miss, and a float column only the shortest round-trip form — and
+// the scan then compares typed cells with no per-cell formatting.
 func matchRow(f *source.Frame, sel map[string]string) int {
-	cols := make([]*source.Column, 0, len(sel))
-	want := make([]string, 0, len(sel))
+	type cellKey struct {
+		col *source.Column
+		s   string
+		n   int64
+		x   float64
+	}
+	keys := make([]cellKey, 0, len(sel))
+	var canon [32]byte
 	for name, v := range sel {
 		c := f.Col(name)
 		if c == nil {
 			return -1
 		}
-		cols = append(cols, c)
-		want = append(want, v)
+		k := cellKey{col: c, s: v}
+		switch c.Kind {
+		case source.Int:
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil || string(strconv.AppendInt(canon[:0], n, 10)) != v {
+				return -1
+			}
+			k.n = n
+		case source.Float:
+			x, err := strconv.ParseFloat(v, 64)
+			if err != nil || string(strconv.AppendFloat(canon[:0], x, 'g', -1, 64)) != v {
+				return -1
+			}
+			k.x = x
+		}
+		keys = append(keys, k)
 	}
 	for i := 0; i < f.Rows(); i++ {
 		hit := true
-		for j, c := range cols {
-			if c.Cell(i) != want[j] {
-				hit = false
+		for _, k := range keys {
+			switch k.col.Kind {
+			case source.String:
+				hit = k.col.Strs[i] == k.s
+			case source.Int:
+				hit = k.col.Ints[i] == k.n
+			default:
+				// Equal shortest forms mean equal bits, except that
+				// every NaN formats as "NaN".
+				x := k.col.Floats[i]
+				hit = math.Float64bits(x) == math.Float64bits(k.x) || math.IsNaN(x) && math.IsNaN(k.x)
+			}
+			if !hit {
 				break
 			}
 		}
@@ -859,14 +913,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) render(d dates.Date) ([]byte, string, error) {
 	day := s.csv.Get(d, func() csvDay {
-		var b strings.Builder
-		if err := s.writeCSV(s.report(d), &b); err != nil {
+		body, err := fill(func(w io.Writer) error { return s.writeCSV(s.report(d), w) })
+		if err != nil {
 			// Rendering is deterministic in (seed, date), so a failure
 			// would recur on every attempt; caching it is sound — and
 			// repeat requests must see the same error, not a flap.
 			return csvDay{err: err}
 		}
-		body := []byte(b.String())
 		// Hash once at fill: the legacy route's canonical artifact is the
 		// body itself, so its validator comes from the bytes, not a frame.
 		return csvDay{body: body, etag: bodyHash(body)}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -208,6 +210,82 @@ func TestGenericSeries(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("cc-less cdn series = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestMatchRowSemantics pins the series selector's match rule: a value
+// matches a cell whose codec form (the frame CSV's text) it is, exactly
+// as the per-cell formatting matcher it replaced compared them.
+func TestMatchRowSemantics(t *testing.T) {
+	f := source.NewFrame("x", dates.New(2024, 1, 1))
+	f.AddStrings("CC").Strs = []string{"FR", "DE", "", "007", "FR", "FR"}
+	f.AddInts("AS").Ints = []int64{7, -3, 0, 1 << 62, 8, 9}
+	f.AddFloats("X").Floats = []float64{1.5, math.NaN(), math.Copysign(0, -1), math.Inf(1), 0, 1e21}
+	cases := []struct {
+		sel  map[string]string
+		want int
+	}{
+		{map[string]string{}, 0},
+		{map[string]string{"CC": "FR"}, 0},
+		{map[string]string{"CC": "FR", "AS": "8"}, 4},
+		{map[string]string{"CC": "007"}, 3},
+		{map[string]string{"CC": ""}, 2},
+		{map[string]string{"CC": "fr"}, -1},
+		{map[string]string{"AS": "7"}, 0},
+		{map[string]string{"AS": "007"}, -1},
+		{map[string]string{"AS": "+7"}, -1},
+		{map[string]string{"AS": " 7"}, -1},
+		{map[string]string{"AS": "7.0"}, -1},
+		{map[string]string{"AS": "-3"}, 1},
+		{map[string]string{"AS": "0"}, 2},
+		{map[string]string{"AS": "-0"}, -1},
+		{map[string]string{"AS": "4611686018427387904"}, 3},
+		{map[string]string{"AS": "99999999999999999999"}, -1},
+		{map[string]string{"X": "1.5"}, 0},
+		{map[string]string{"X": "1.50"}, -1},
+		{map[string]string{"X": "NaN"}, 1},
+		{map[string]string{"X": "nan"}, -1},
+		{map[string]string{"X": "-0"}, 2},
+		{map[string]string{"X": "0"}, 4},
+		{map[string]string{"X": "+Inf"}, 3},
+		{map[string]string{"X": "Inf"}, -1},
+		{map[string]string{"X": "1e+21"}, 5},
+		{map[string]string{"X": "1e21"}, -1},
+		{map[string]string{"CC": "FR", "X": "1e+21"}, 5},
+		{map[string]string{"CC": "DE", "AS": "7"}, -1},
+		{map[string]string{"Missing": "x"}, -1},
+	}
+	// The replaced matcher, as the oracle: format every cell and compare.
+	cell := func(c *source.Column, i int) string {
+		switch c.Kind {
+		case source.String:
+			return c.Strs[i]
+		case source.Int:
+			return strconv.FormatInt(c.Ints[i], 10)
+		}
+		return strconv.FormatFloat(c.Floats[i], 'g', -1, 64)
+	}
+	formatted := func(sel map[string]string) int {
+		for i := 0; i < f.Rows(); i++ {
+			hit := true
+			for name, v := range sel {
+				if c := f.Col(name); c == nil || cell(c, i) != v {
+					hit = false
+				}
+			}
+			if hit {
+				return i
+			}
+		}
+		return -1
+	}
+	for _, tc := range cases {
+		if got := matchRow(f, tc.sel); got != tc.want {
+			t.Errorf("matchRow(%v) = %d, want %d", tc.sel, got, tc.want)
+		}
+		if old := formatted(tc.sel); old != tc.want {
+			t.Errorf("formatting matcher(%v) = %d, want %d", tc.sel, old, tc.want)
+		}
 	}
 }
 

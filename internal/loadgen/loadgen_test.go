@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,8 +40,8 @@ func loadServer(t *testing.T) (*apnicweb.Server, *httptest.Server, ModelConfig) 
 		t.Fatal(err)
 	}
 	cfg.SeriesPaths = []string{
-		"/v1/apnic/series/AS" + f.Col("AS").Cell(0) +
-			"?cc=" + f.Col("CC").Cell(0) +
+		"/v1/apnic/series/AS" + strconv.FormatInt(f.Col("AS").Ints[0], 10) +
+			"?cc=" + f.Col("CC").Strs[0] +
 			"&from=" + first.String() + "&to=" + first.AddDays(4).String(),
 	}
 	return srv, ts, cfg

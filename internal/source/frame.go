@@ -78,20 +78,6 @@ func (c *Column) Len() int {
 	}
 }
 
-// Cell formats cell i the way the CSV codec writes it. Floats use the
-// shortest representation that round-trips (strconv 'g' with precision
-// -1), so parse → re-format is byte-stable.
-func (c *Column) Cell(i int) string {
-	switch c.Kind {
-	case String:
-		return c.Strs[i]
-	case Int:
-		return strconv.FormatInt(c.Ints[i], 10)
-	default:
-		return strconv.FormatFloat(c.Floats[i], 'g', -1, 64)
-	}
-}
-
 // appendCell parses one codec cell into the column.
 func (c *Column) appendCell(s string) error {
 	switch c.Kind {

@@ -48,8 +48,8 @@ const testDay = 19834 // 2024-04-21
 // delta int, one xor float, one dict string, one row.
 func goodCols() []rawCol {
 	return []rawCol{
-		{name: "I", kind: 1, tag: tagDelta, tLen: 1, payload: []byte{0x0A}},         // 5
-		{name: "F", kind: 2, tag: tagXor, tLen: 1, payload: []byte{0}},              // 0.0
+		{name: "I", kind: 1, tag: tagDelta, tLen: 1, payload: []byte{0x0A}},           // 5
+		{name: "F", kind: 2, tag: tagXor, tLen: 1, payload: []byte{0}},                // 0.0
 		{name: "S", kind: 0, tag: tagDict, tLen: 5, payload: []byte{1, 0, 1, 'x', 0}}, // "x"
 	}
 }

@@ -42,3 +42,32 @@ func TestNoLargeTrackedBinaries(t *testing.T) {
 		}
 	}
 }
+
+// TestGofmt fails on any tracked Go file gofmt would rewrite, the same
+// check as CI's `gofmt -l` step.
+func TestGofmt(t *testing.T) {
+	gofmt, err := exec.LookPath("gofmt")
+	if err != nil {
+		t.Skipf("gofmt not available: %v", err)
+	}
+	out, err := exec.Command("git", "ls-files", "-z", "*.go").Output()
+	if err != nil {
+		t.Skipf("git not available: %v", err)
+	}
+	var files []string
+	for _, name := range strings.Split(string(bytes.TrimRight(out, "\x00")), "\x00") {
+		if _, err := os.Stat(name); name != "" && err == nil {
+			files = append(files, name)
+		}
+	}
+	if len(files) == 0 {
+		t.Skip("no tracked Go files")
+	}
+	unformatted, err := exec.Command(gofmt, append([]string{"-l"}, files...)...).Output()
+	if err != nil {
+		t.Fatalf("gofmt -l: %v", err)
+	}
+	if len(unformatted) > 0 {
+		t.Errorf("gofmt -l flags these files; run gofmt -w on them:\n%s", unformatted)
+	}
+}
