@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obsv"
 )
 
 func main() {
@@ -56,6 +57,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "building world (seed %d)...\n", *seed)
 	start := time.Now()
 	lab := experiments.NewLab(*seed)
+	obsv.RegisterRuntime(lab.Metrics) // read when -metrics dumps the registry
 	fmt.Fprintf(os.Stderr, "world ready in %v: %d orgs, %d routes\n\n", time.Since(start).Round(time.Millisecond),
 		lab.W.Registry.Len(), lab.W.DB.Len())
 
@@ -91,8 +93,9 @@ func main() {
 	}
 
 	if *metrics != "" {
-		// The registry carries per-runner wall time and the day-cache
-		// request/generation/hit series the schedulers used to print ad hoc.
+		// The registry carries per-runner wall time, the day-cache
+		// request/generation/hit series the schedulers used to print ad
+		// hoc, and the runtime gauges as of the dump.
 		err := func() error {
 			if *metrics == "-" {
 				return lab.Metrics.WriteJSON(os.Stderr)

@@ -17,10 +17,52 @@ var csvHeader = []string{"Rank", "AS", "AS Name", "CC", "Estimated Users", "% of
 // the same allocation-free encoder as the frame codec.
 func (r *Report) WriteCSV(w io.Writer) error {
 	e := source.NewCSVEncoder(w)
+	if err := writeHead(e, r.Date, strconv.Itoa(r.Window)); err != nil {
+		return err
+	}
+	var as []byte
+	for _, row := range r.Rows {
+		as = writeRow(e, as, int64(row.Rank), int64(row.ASN), row.ASName, row.CC,
+			row.Users, row.PctCountry, row.PctInternet, row.Samples)
+		if err := e.EndRecord(); err != nil {
+			return err
+		}
+	}
+	return e.Flush()
+}
+
+// WriteFrameCSV writes a report frame (see Report.Frame) in the same
+// layout as Report.WriteCSV, byte for byte, reading the frame's columns
+// directly: a server holding only the frame renders the legacy CSV
+// without rebuilding the native report. A frame that is not
+// report-shaped is an error before any byte is written.
+func WriteFrameCSV(f *source.Frame, w io.Writer) error {
+	window, cols, err := frameColumns(f)
+	if err != nil {
+		return err
+	}
+	rank, as, name, cc, users, pctCC, pctNet, samples := cols[0], cols[1], cols[2], cols[3], cols[4], cols[5], cols[6], cols[7]
+	e := source.NewCSVEncoder(w)
+	if err := writeHead(e, f.Date, window); err != nil {
+		return err
+	}
+	var asBuf []byte
+	for i := range f.Rows() {
+		asBuf = writeRow(e, asBuf, rank.Ints[i], as.Ints[i], name.Strs[i], cc.Strs[i],
+			users.Floats[i], pctCC.Floats[i], pctNet.Floats[i], samples.Ints[i])
+		if err := e.EndRecord(); err != nil {
+			return err
+		}
+	}
+	return e.Flush()
+}
+
+// writeHead writes the metadata record and the column header.
+func writeHead(e *source.CSVEncoder, date dates.Date, window string) error {
 	e.Field("# date")
-	e.Field(r.Date.String())
+	e.Field(date.String())
 	e.Field("window-days")
-	e.Int(int64(r.Window))
+	e.Field(window)
 	for range 4 {
 		e.Field("")
 	}
@@ -30,25 +72,22 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	for _, h := range csvHeader {
 		e.Field(h)
 	}
-	if err := e.EndRecord(); err != nil {
-		return err
-	}
-	var as []byte
-	for _, row := range r.Rows {
-		e.Int(int64(row.Rank))
-		as = strconv.AppendUint(append(as[:0], "AS"...), uint64(row.ASN), 10)
-		e.FieldBytes(as)
-		e.Field(row.ASName)
-		e.Field(row.CC)
-		e.Float(row.Users, 'f', 2)
-		e.Float(row.PctCountry, 'f', 4)
-		e.Float(row.PctInternet, 'f', 6)
-		e.Int(row.Samples)
-		if err := e.EndRecord(); err != nil {
-			return err
-		}
-	}
-	return e.Flush()
+	return e.EndRecord()
+}
+
+// writeRow appends one report row's fields, formatting the AS number
+// into as (a reused scratch buffer, returned for the next row).
+func writeRow(e *source.CSVEncoder, as []byte, rank, asn int64, name, cc string, users, pctCC, pctNet float64, samples int64) []byte {
+	e.Int(rank)
+	as = strconv.AppendInt(append(as[:0], "AS"...), asn, 10)
+	e.FieldBytes(as)
+	e.Field(name)
+	e.Field(cc)
+	e.Float(users, 'f', 2)
+	e.Float(pctCC, 'f', 4)
+	e.Float(pctNet, 'f', 6)
+	e.Int(samples)
+	return as
 }
 
 // ReadCSV parses a report written by WriteCSV.

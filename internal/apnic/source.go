@@ -26,6 +26,7 @@ func (r *Report) Frame() *source.Frame {
 	pctCC := f.AddFloats("% of Country")
 	pctNet := f.AddFloats("% of Internet")
 	samples := f.AddInts("Samples")
+	f.Reserve(len(r.Rows))
 	for _, row := range r.Rows {
 		rank.Ints = append(rank.Ints, int64(row.Rank))
 		as.Ints = append(as.Ints, int64(row.ASN))
@@ -39,23 +40,39 @@ func (r *Report) Frame() *source.Frame {
 	return f
 }
 
+// columnKinds are the kinds of a report frame's columns, which carry the
+// csvHeader names in the same order.
+var columnKinds = [...]source.Kind{
+	source.Int, source.Int, source.String, source.String,
+	source.Float, source.Float, source.Float, source.Int,
+}
+
+// frameColumns returns a report frame's window and its columns in
+// csvHeader order, or an error when the frame is not report-shaped.
+func frameColumns(f *source.Frame) (window string, cols [len(columnKinds)]*source.Column, err error) {
+	window, ok := f.MetaValue("window-days")
+	if !ok {
+		return "", cols, fmt.Errorf("apnic: frame has no window-days metadata")
+	}
+	for i, name := range csvHeader {
+		if cols[i], err = f.TypedCol(name, columnKinds[i]); err != nil {
+			return "", cols, fmt.Errorf("apnic: %w", err)
+		}
+	}
+	return window, cols, nil
+}
+
 // ReportFromFrame reconstructs the native report from its frame form.
 func ReportFromFrame(f *source.Frame) (*Report, error) {
-	wd, ok := f.MetaValue("window-days")
-	if !ok {
-		return nil, fmt.Errorf("apnic: frame has no window-days metadata")
+	wd, cols, err := frameColumns(f)
+	if err != nil {
+		return nil, err
 	}
 	window, err := strconv.Atoi(wd)
 	if err != nil {
 		return nil, fmt.Errorf("apnic: frame window-days: %w", err)
 	}
-	rank, as := f.Col("Rank"), f.Col("AS")
-	name, cc := f.Col("AS Name"), f.Col("CC")
-	users, pctCC, pctNet := f.Col("Estimated Users"), f.Col("% of Country"), f.Col("% of Internet")
-	samples := f.Col("Samples")
-	if rank == nil || as == nil || name == nil || cc == nil || users == nil || pctCC == nil || pctNet == nil || samples == nil {
-		return nil, fmt.Errorf("apnic: frame is missing report columns")
-	}
+	rank, as, name, cc, users, pctCC, pctNet, samples := cols[0], cols[1], cols[2], cols[3], cols[4], cols[5], cols[6], cols[7]
 	r := &Report{Date: f.Date, Window: window, Rows: make([]Row, f.Rows())}
 	for i := range r.Rows {
 		r.Rows[i] = Row{
@@ -72,8 +89,11 @@ func ReportFromFrame(f *source.Frame) (*Report, error) {
 	return r, nil
 }
 
-// Source adapts the generator to the uniform source interface, caching
-// the native reports day-keyed so frame conversion never regenerates.
+// Source adapts the generator to the uniform source interface. Its
+// native-report cache serves the typed accessor, Report; Generate
+// converts a transient report and caches nothing, because the registry
+// above it keeps the frame and a second resident copy of the day would
+// only double its memory.
 type Source struct {
 	gen  *Generator
 	days *source.Days[*Report]
@@ -99,14 +119,15 @@ func (s *Source) Window() source.Window {
 	return source.Window{First: source.SpanFirst, Last: source.SpanLast, Cadence: source.CadenceDaily}
 }
 
-// Report returns the memoized native report for a day.
+// Report returns the memoized native report for a day (the experiment
+// lab's entry point; frames never go through this cache).
 func (s *Source) Report(d dates.Date) *Report {
 	return s.days.Get(d, s.gen.Generate)
 }
 
 // Generate implements source.Source.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Report(d).Frame()
+	return s.gen.Generate(d).Frame()
 }
 
 // CacheStats reports the native report cache's activity.

@@ -81,28 +81,33 @@ import (
 // and row index in memory forever. Eviction is safe
 // because every artifact is a pure function of (seed, date) — an evicted
 // day regenerates byte-identically on the next request.
+//
+// The server holds frames, never native artifacts: every route, the
+// legacy APNIC ones included, reads the registry's frame of a day, so a
+// served dataset-day is resident once however many representations of
+// it are asked for.
 type Server struct {
-	reg      *source.Registry
-	apnicSrc *apnic.Source // legacy alias routes need the native reports
-	first    dates.Date
-	last     dates.Date
+	reg   *source.Registry
+	first dates.Date
+	last  dates.Date
 
 	// Log, when non-nil, receives structured request logs and render
 	// failures. Set it before calling Handler.
 	Log *log.Logger
 
-	metrics  *obsv.Registry
-	writeCSV func(*apnic.Report, io.Writer) error // seam for render-failure tests
+	metrics *obsv.Registry
 
-	// reprs is the server's own copy of the representation table (see
-	// repr.go), so tests can swap a row's stream on one server.
+	// reprs and legacy are the server's own copies of the representation
+	// table and the legacy row (see repr.go), so tests can swap a row's
+	// stream on one server.
 	reprs   []repr
+	legacy  repr
 	encoded encodedBodies // memoized bytes of the encoded rows
 
-	csv   *syncx.LRU[dates.Date, csvDay]              // legacy APNIC CSV per day
-	index *syncx.LRU[dates.Date, map[seriesKey]int32] // (ASN, CC) → row position per day
-	etags *syncx.LRU[frameKey, string]                // frame content hash per (dataset, day)
-	gzips *syncx.LRU[gzKey, csvDay]                   // pre-compressed hot-day bodies
+	csv   *syncx.LRU[dates.Date, csvDay]   // legacy APNIC CSV per day
+	index *syncx.LRU[dates.Date, dayIndex] // (ASN, CC) → row position per day
+	etags *syncx.LRU[frameKey, string]     // frame content hash per (dataset, day)
+	gzips *syncx.LRU[gzKey, csvDay]        // pre-compressed hot-day bodies
 
 	renderErrs   *obsv.Counter
 	streamAborts *obsv.Counter
@@ -144,8 +149,15 @@ type gzKey struct {
 // seriesKey identifies one row of a day's report: the paper's
 // per-(country, AS) series identity.
 type seriesKey struct {
-	asn uint32
+	asn int64
 	cc  string
+}
+
+// dayIndex maps one apnic day's series keys to row positions, or holds
+// the error that kept it from being built.
+type dayIndex struct {
+	rows map[seriesKey]int32
+	err  error
 }
 
 // NewMultiServer builds the full seven-dataset roster over one world and
@@ -155,24 +167,23 @@ type seriesKey struct {
 // < 1 to 1), evicting least recently used days.
 func NewMultiServer(w *world.World, seed uint64, first, last dates.Date, cacheDays int) *Server {
 	metrics := obsv.NewRegistry()
-	b := bundle.New(w, seed, bundle.Config{Metrics: metrics, CacheDays: cacheDays})
-	reg := b.Registry
+	obsv.RegisterRuntime(metrics)
+	reg := bundle.New(w, seed, bundle.Config{Metrics: metrics, CacheDays: cacheDays}).Registry
 	if cacheDays < 1 {
 		cacheDays = 1
 	}
 	rosterCap := cacheDays * max(1, len(reg.Names()))
 	table := slices.Clone(reprs)
 	s := &Server{
-		reg:      reg,
-		apnicSrc: b.APNIC,
-		first:    first,
-		last:     last,
-		metrics:  metrics,
-		writeCSV: (*apnic.Report).WriteCSV,
-		reprs:    table,
-		encoded:  newEncodedBodies(table, reg, metrics),
-		csv:      syncx.NewLRU[dates.Date, csvDay](cacheDays),
-		index:    syncx.NewLRU[dates.Date, map[seriesKey]int32](cacheDays),
+		reg:     reg,
+		first:   first,
+		last:    last,
+		metrics: metrics,
+		reprs:   table,
+		legacy:  legacy,
+		encoded: newEncodedBodies(table, reg, metrics),
+		csv:     syncx.NewLRU[dates.Date, csvDay](cacheDays),
+		index:   syncx.NewLRU[dates.Date, dayIndex](cacheDays),
 		// One day-budget per dataset: the generic caches serve the whole
 		// roster, so their capacity scales with the roster size.
 		etags: syncx.NewLRU[frameKey, string](rosterCap),
@@ -184,8 +195,8 @@ func NewMultiServer(w *world.World, seed uint64, first, last dates.Date, cacheDa
 	s.encGzip = s.metrics.Counter(`apnicweb_responses_total{encoding="gzip"}`)
 	s.encIdentity = s.metrics.Counter(`apnicweb_responses_total{encoding="identity"}`)
 	// Cache counters live in the LRUs on the hot path and are surfaced as
-	// gauges at scrape time, so serving cost stays flat. The native
-	// report cache's series (source_cache_*{dataset="apnic"}, ...) are
+	// gauges at scrape time, so serving cost stays flat. The frame
+	// caches' series (source_frame_*{dataset="apnic"}, ...) are
 	// registered by the source layer on the same registry.
 	s.metrics.GaugeFunc("apnicweb_cache_capacity_days", func() float64 { return float64(s.csv.Cap()) })
 	s.metrics.GaugeFunc("apnicweb_csv_cache_evictions", func() float64 {
@@ -213,25 +224,29 @@ func (s *Server) Metrics() *obsv.Registry { return s.metrics }
 // Registry exposes the dataset roster the server serves.
 func (s *Server) Registry() *source.Registry { return s.reg }
 
-// report returns the (cached) generated report for a day, generating it
-// at most once even when many requests race on a cold day.
-func (s *Server) report(d dates.Date) *apnic.Report {
-	return s.apnicSrc.Report(d)
-}
-
-// rowIndex returns the day's (ASN, CC) → row-position map, built once
-// per day. Series requests used to scan all of a day's rows per lookup
-// (O(rows) each, tens of thousands of comparisons); the index makes
-// every lookup after the first O(1).
-func (s *Server) rowIndex(d dates.Date) map[seriesKey]int32 {
-	return s.index.Get(d, func() map[seriesKey]int32 {
-		rep := s.report(d)
-		m := make(map[seriesKey]int32, len(rep.Rows))
-		for i, row := range rep.Rows {
-			m[seriesKey{row.ASN, row.CC}] = int32(i)
+// rowIndex returns the (ASN, CC) → row-position map of f, the day's
+// apnic frame, built once per day from its AS and CC columns. Series
+// requests used to scan all of a day's rows per lookup (O(rows) each,
+// tens of thousands of comparisons); the index makes every lookup after
+// the first O(1). Positions hold for any frame of the day, because a
+// regenerated frame is identical.
+func (s *Server) rowIndex(d dates.Date, f *source.Frame) (map[seriesKey]int32, error) {
+	idx := s.index.Get(d, func() dayIndex {
+		as, err := f.TypedCol("AS", source.Int)
+		if err != nil {
+			return dayIndex{err: err}
 		}
-		return m
+		cc, err := f.TypedCol("CC", source.String)
+		if err != nil {
+			return dayIndex{err: err}
+		}
+		m := make(map[seriesKey]int32, len(as.Ints))
+		for i, asn := range as.Ints {
+			m[seriesKey{asn, cc.Strs[i]}] = int32(i)
+		}
+		return dayIndex{rows: m}
 	})
+	return idx.rows, idx.err
 }
 
 // routeLabel collapses request paths onto their route patterns so the
@@ -844,17 +859,55 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := SeriesResponse{ASN: uint32(asn64), Country: cc}
-	key := seriesKey{resp.ASN, cc}
+	key := seriesKey{int64(asn64), cc}
 	for _, d := range dates.Range(from, to, step) {
-		if i, ok := s.rowIndex(d)[key]; ok {
-			row := s.report(d).Rows[i]
-			resp.Points = append(resp.Points, SeriesPoint{
-				Date: d.String(), Users: row.Users, Samples: row.Samples,
-			})
+		p, ok, err := s.seriesPoint(d, key)
+		if err != nil {
+			s.renderErrs.Inc()
+			if s.Log != nil {
+				s.Log.Printf("series error date=%s err=%q", d, err)
+			}
+			http.Error(w, "series generation failed: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if ok {
+			resp.Points = append(resp.Points, p)
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
+}
+
+// seriesPoint reads one day of a legacy series from the day's apnic
+// frame: the indexed row's Estimated Users and Samples cells. ok is
+// false when the day has no such row.
+func (s *Server) seriesPoint(d dates.Date, key seriesKey) (p SeriesPoint, ok bool, err error) {
+	f, err := s.reg.Frame(apnic.DatasetName, d)
+	if err != nil {
+		return p, false, err
+	}
+	rows, err := s.rowIndex(d, f)
+	if err != nil {
+		return p, false, err
+	}
+	i, ok := rows[key]
+	if !ok {
+		return p, false, nil
+	}
+	users, err := f.TypedCol("Estimated Users", source.Float)
+	if err != nil {
+		return p, false, err
+	}
+	samples, err := f.TypedCol("Samples", source.Int)
+	if err != nil {
+		return p, false, err
+	}
+	// The index and the frame sit in separate caches, so guard the one
+	// index a frame it was not built from could fail to cover.
+	if int(i) >= f.Rows() {
+		return p, false, fmt.Errorf("apnic %s frame has %d rows, index names row %d", d, f.Rows(), i)
+	}
+	return SeriesPoint{Date: d.String(), Users: users.Floats[i], Samples: samples.Ints[i]}, true, nil
 }
 
 // DateRange is the /v1/dates response body.
@@ -895,11 +948,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "report generation failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// The identity body stays the cached native render, byte-identical to
-	// the pre-conditional server; the "legacy" row keys a separate gzip
-	// cache slot because these bytes differ from the frame-CSV codec's.
+	// The identity body stays the cached render, byte-identical to the
+	// pre-conditional server; the "legacy" row keys a separate gzip cache
+	// slot because these bytes differ from the frame-CSV codec's.
 	s.serveImmutable(w, r, immutableBody{
-		row:     &legacy,
+		row:     &s.legacy,
 		dataset: apnic.DatasetName,
 		day:     d,
 		hash:    hash,
@@ -911,9 +964,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// render returns the day's legacy CSV body and its content hash, filled
+// at most once per resident day by streaming the registry's apnic frame
+// through the legacy row.
 func (s *Server) render(d dates.Date) ([]byte, string, error) {
 	day := s.csv.Get(d, func() csvDay {
-		body, err := fill(func(w io.Writer) error { return s.writeCSV(s.report(d), w) })
+		f, err := s.reg.Frame(apnic.DatasetName, d)
+		if err != nil {
+			return csvDay{err: err}
+		}
+		body, err := fill(func(w io.Writer) error { return s.legacy.stream(f, w) })
 		if err != nil {
 			// Rendering is deterministic in (seed, date), so a failure
 			// would recur on every attempt; caching it is sound — and

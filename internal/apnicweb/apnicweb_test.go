@@ -209,7 +209,8 @@ func itoa(v uint32) string { return strconv.FormatUint(uint64(v), 10) }
 
 // TestServerSingleflightHammer fires many concurrent requests at
 // overlapping cold days — through the real HTTP handler — and verifies
-// the generator ran exactly once per distinct day (singleflight), every
+// the apnic frame was generated exactly once per distinct day
+// (singleflight at the registry), every
 // response is served, and repeated days return byte-identical CSV.
 func TestServerSingleflightHammer(t *testing.T) {
 	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
@@ -255,10 +256,10 @@ func TestServerSingleflightHammer(t *testing.T) {
 		}
 	}
 
-	if st := srv.apnicSrc.CacheStats(); int(st.Gens) != len(days) {
-		t.Errorf("generator ran %d times for %d distinct days; singleflight demands one each", st.Gens, len(days))
+	if st, _ := srv.Registry().FrameCacheStats("apnic"); int(st.Gens) != len(days) {
+		t.Errorf("apnic frame generated %d times for %d distinct days; singleflight demands one each", st.Gens, len(days))
 	} else if st.Len != len(days) {
-		t.Errorf("report cache holds %d days, want %d", st.Len, len(days))
+		t.Errorf("frame cache holds %d apnic days, want %d", st.Len, len(days))
 	}
 	for g := 1; g < goroutines; g++ {
 		for _, day := range days {
@@ -294,8 +295,8 @@ func TestServerRenderConcurrentDistinctDays(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := srv.apnicSrc.CacheStats().Gens; int(n) != len(days) {
-		t.Errorf("generator ran %d times for %d distinct days", n, len(days))
+	if st, _ := srv.Registry().FrameCacheStats("apnic"); int(st.Gens) != len(days) {
+		t.Errorf("apnic frame generated %d times for %d distinct days", st.Gens, len(days))
 	}
 	for i, d := range days {
 		again, _, err := srv.render(d)

@@ -43,14 +43,15 @@ func TestBoundedCacheEviction(t *testing.T) {
 	for i := 1; i < capacity*3; i++ { // push the first day out
 		get(dates.New(2024, 3, 1).AddDays(i))
 	}
-	if n := srv.apnicSrc.CacheStats().Len; n > capacity {
-		t.Fatalf("report cache holds %d days, capacity %d", n, capacity)
+	frames, _ := srv.Registry().FrameCacheStats("apnic")
+	if frames.Len > capacity {
+		t.Fatalf("frame cache holds %d apnic days, capacity %d", frames.Len, capacity)
 	}
 	if n := srv.csv.Len(); n > capacity {
 		t.Fatalf("csv cache holds %d days, capacity %d", n, capacity)
 	}
-	if ev := srv.apnicSrc.CacheStats().Evictions; ev == 0 {
-		t.Fatal("no report evictions after serving 3x capacity")
+	if frames.Evictions == 0 {
+		t.Fatal("no apnic frame evictions after serving 3x capacity")
 	}
 
 	// Determinism across eviction: the refilled day must be identical.
@@ -66,7 +67,7 @@ func TestBoundedCacheEviction(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
 	for _, name := range []string{
-		`source_cache_evictions{dataset="apnic"}`,
+		`source_frame_cache_evictions{dataset="apnic"}`,
 		"apnicweb_csv_cache_evictions",
 		"apnicweb_index_cache_evictions",
 		"apnicweb_cache_capacity_days",
@@ -132,10 +133,11 @@ func TestBoundedCacheHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := srv.apnicSrc.CacheStats().Len; n > capacity {
-		t.Fatalf("report cache holds %d days, capacity %d", n, capacity)
+	frames, _ := srv.Registry().FrameCacheStats("apnic")
+	if frames.Len > capacity {
+		t.Fatalf("frame cache holds %d apnic days, capacity %d", frames.Len, capacity)
 	}
-	if ev := srv.apnicSrc.CacheStats().Evictions; ev == 0 {
-		t.Fatal("hammer produced no evictions")
+	if frames.Evictions == 0 {
+		t.Fatal("hammer produced no apnic frame evictions")
 	}
 }

@@ -13,9 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/apnic"
 	"repro/internal/dates"
 	"repro/internal/obsv"
+	"repro/internal/source"
 )
 
 func newLogger(w io.Writer) *log.Logger { return log.New(w, "", 0) }
@@ -50,7 +50,7 @@ func TestSeriesFromAfterTo(t *testing.T) {
 func TestRenderErrorPropagates(t *testing.T) {
 	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
 	var renders atomic.Int64
-	srv.writeCSV = func(rep *apnic.Report, w io.Writer) error {
+	srv.legacy.stream = func(f *source.Frame, w io.Writer) error {
 		renders.Add(1)
 		return errors.New("disk on fire")
 	}
@@ -248,7 +248,7 @@ func TestClientRetriesFlakyBackend(t *testing.T) {
 
 // TestSeriesColdDayHammer fires many concurrent series requests over
 // overlapping cold days through the real handler and verifies each
-// report was generated exactly once per distinct day.
+// apnic frame was generated exactly once per distinct day.
 func TestSeriesColdDayHammer(t *testing.T) {
 	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
 	ts := httptest.NewServer(srv.Handler())
@@ -287,8 +287,8 @@ func TestSeriesColdDayHammer(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	if n := srv.apnicSrc.CacheStats().Gens; n != days {
-		t.Errorf("generator ran %d times for %d distinct days under series load", n, days)
+	if st, _ := srv.Registry().FrameCacheStats("apnic"); st.Gens != days {
+		t.Errorf("apnic frame generated %d times for %d distinct days under series load", st.Gens, days)
 	}
 }
 
@@ -318,8 +318,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`http_requests_total{route="/v1/reports/:date",class="2xx"} 2`,
 		`http_requests_total{route="/v1/dates",class="2xx"} 1`,
 		`http_request_seconds_bucket{route="/v1/reports/:date",le="+Inf"} 2`,
-		`source_generations_total{dataset="apnic"} 1`,
-		`source_cache_days{dataset="apnic"} 1`,
+		`source_frame_generations_total{dataset="apnic"} 1`,
+		`source_frame_cache_days{dataset="apnic"} 1`,
 		"apnicweb_render_errors_total 0",
 	} {
 		if !strings.Contains(text, want) {
@@ -336,7 +336,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Errorf("json format Content-Type = %q", ct)
 	}
-	if !strings.Contains(string(jsonBody), `"source_generations_total{dataset=\"apnic\"}": 1`) {
+	if !strings.Contains(string(jsonBody), `"source_frame_generations_total{dataset=\"apnic\"}": 1`) {
 		t.Errorf("json metrics missing generation counter:\n%s", jsonBody)
 	}
 }

@@ -96,7 +96,7 @@ func TestUnknownDatasetJSON404(t *testing.T) {
 // legacy APNIC routes on the multi server return the exact bytes of the
 // native render — unchanged by the registry rerouting.
 func TestLegacyAliasesByteIdentical(t *testing.T) {
-	srv, ts, _ := multiServer(t)
+	_, ts, _ := multiServer(t)
 	d := dates.New(2024, 4, 21)
 
 	get := func(path string) []byte {
@@ -117,7 +117,7 @@ func TestLegacyAliasesByteIdentical(t *testing.T) {
 	}
 
 	var wantCSV bytes.Buffer
-	if err := srv.apnicSrc.Generator().Generate(d).WriteCSV(&wantCSV); err != nil {
+	if err := testGen.Generate(d).WriteCSV(&wantCSV); err != nil {
 		t.Fatal(err)
 	}
 	if got := get("/v1/reports/" + d.String() + ".csv"); !bytes.Equal(got, wantCSV.Bytes()) {
@@ -134,7 +134,7 @@ func TestLegacyAliasesByteIdentical(t *testing.T) {
 
 	// The series alias must serve the same bytes as a second server built
 	// over the same world and seed.
-	row := srv.apnicSrc.Generator().Generate(d).Rows[0]
+	row := testGen.Generate(d).Rows[0]
 	q := "/v1/series/AS" + itoa(row.ASN) + "?cc=" + row.CC + "&from=2024-04-20&to=2024-04-22"
 	solo := httptest.NewServer(NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays).Handler())
 	defer solo.Close()
@@ -173,7 +173,7 @@ func TestGenericSeries(t *testing.T) {
 		return sr
 	}
 
-	rep := srv.apnicSrc.Generator().Generate(d)
+	rep := testGen.Generate(d)
 	row := rep.Rows[0]
 	sr := getSeries("/v1/apnic/series/AS" + itoa(row.ASN) + "?cc=" + row.CC + "&from=2024-04-10&to=2024-04-10")
 	if len(sr.Points) != 1 {

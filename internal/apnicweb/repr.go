@@ -16,6 +16,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/apnic"
 	"repro/internal/dates"
 	"repro/internal/obsv"
 	"repro/internal/source"
@@ -37,7 +38,8 @@ type repr struct {
 	// rows stream the identity body row by row and are never
 	// materialized server-side; binary rows serve their memoized
 	// encoding, so the compact artifact is the cache. (The legacy row
-	// sets neither: its route renders and caches the body itself.)
+	// streams too, but its route fills and caches the body, whose bytes
+	// the compatibility tests pin.)
 	stream func(*source.Frame, io.Writer) error
 	encode func(*source.Frame) ([]byte, error)
 
@@ -83,14 +85,15 @@ var reprs = []repr{
 }
 
 // legacy is the fixed representation of the legacy APNIC route: the
-// native report CSV, whose bytes (cached by the route itself) and
-// headers are pinned by the compatibility tests. Its path fixes the
-// representation, so it varies on Accept-Encoding alone, and it declares
-// no Content-Length, leaving large bodies to net/http's chunking so the
-// pinned wire bytes hold.
+// report CSV layout rendered from the apnic frame, whose bytes (cached
+// by the route itself) and headers are pinned by the compatibility
+// tests. Its path fixes the representation, so it varies on
+// Accept-Encoding alone, and it declares no Content-Length, leaving
+// large bodies to net/http's chunking so the pinned wire bytes hold.
 var legacy = repr{
 	name: "legacy", suffix: ".csv", contentType: "text/csv; charset=utf-8", vary: "Accept-Encoding",
-	gzip: true,
+	gzip:   true,
+	stream: apnic.WriteFrameCSV,
 }
 
 // badDate is the 400 message of the generic report route, listing the

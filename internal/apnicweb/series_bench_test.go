@@ -19,7 +19,7 @@ var benchSink apnic.Row
 
 func benchTarget(rep *apnic.Report) seriesKey {
 	row := rep.Rows[len(rep.Rows)/2] // median-position row: typical scan cost
-	return seriesKey{row.ASN, row.CC}
+	return seriesKey{int64(row.ASN), row.CC}
 }
 
 func BenchmarkSeriesLookupLinearScan(b *testing.B) {
@@ -29,7 +29,7 @@ func BenchmarkSeriesLookupLinearScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, row := range rep.Rows {
-			if row.ASN == key.asn && row.CC == key.cc {
+			if int64(row.ASN) == key.asn && row.CC == key.cc {
 				benchSink = row
 				break
 			}
@@ -40,13 +40,18 @@ func BenchmarkSeriesLookupLinearScan(b *testing.B) {
 func BenchmarkSeriesLookupIndexed(b *testing.B) {
 	srv := NewMultiServer(testW, 11, dates.New(2024, 1, 1), dates.New(2024, 12, 31), DefaultCacheDays)
 	d := dates.New(2024, 4, 10)
-	rep := srv.report(d)
+	rep := testGen.Generate(d)
 	key := benchTarget(rep)
-	srv.rowIndex(d) // build outside the timed region, as one request amortizes it
+	f, err := srv.Registry().Frame("apnic", d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.rowIndex(d, f) // build outside the timed region, as one request amortizes it
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if idx, ok := srv.rowIndex(d)[key]; ok {
+		rows, _ := srv.rowIndex(d, f)
+		if idx, ok := rows[key]; ok {
 			benchSink = rep.Rows[idx]
 		}
 	}

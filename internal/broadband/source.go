@@ -2,7 +2,7 @@ package broadband
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/obsv"
@@ -23,17 +23,22 @@ func (ds *Dataset) Frame() *source.Frame {
 	org := f.AddStrings("Org")
 	share := f.AddFloats("Share")
 	ccs := make([]string, 0, len(ds.Shares))
-	for c := range ds.Shares {
+	rows, widest := 0, 0
+	for c, row := range ds.Shares {
 		ccs = append(ccs, c)
+		rows += len(row)
+		widest = max(widest, len(row))
 	}
-	sort.Strings(ccs)
+	slices.Sort(ccs)
+	f.Reserve(rows)
+	ids := make([]string, 0, widest) // reused by every country
 	for _, c := range ccs {
 		row := ds.Shares[c]
-		ids := make([]string, 0, len(row))
+		ids = ids[:0]
 		for id := range row {
 			ids = append(ids, id)
 		}
-		sort.Strings(ids)
+		slices.Sort(ids)
 		for _, id := range ids {
 			cc.Strs = append(cc.Strs, c)
 			org.Strs = append(org.Strs, id)
@@ -61,8 +66,10 @@ func DatasetFromFrame(f *source.Frame) (*Dataset, error) {
 	return ds, nil
 }
 
-// Source adapts the generator to the uniform source interface, caching
-// the native surveys day-keyed.
+// Source adapts the generator to the uniform source interface. The
+// day-keyed native cache serves only the typed accessor, Dataset;
+// Generate converts a transient artifact, leaving the frame to the
+// registry's cache alone.
 type Source struct {
 	gen  *Generator
 	days *source.Days[*Dataset]
@@ -94,7 +101,7 @@ func (s *Source) Dataset(d dates.Date) *Dataset {
 
 // Generate implements source.Source.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Dataset(d).Frame()
+	return s.gen.Generate(d).Frame()
 }
 
 // CacheStats reports the native survey cache's activity.

@@ -2,7 +2,7 @@ package cdn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/obsv"
@@ -21,12 +21,7 @@ func (s *Snapshot) Frame() *source.Frame {
 	for pair := range s.Stats {
 		pairs = append(pairs, pair)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Country != pairs[j].Country {
-			return pairs[i].Country < pairs[j].Country
-		}
-		return pairs[i].Org < pairs[j].Org
-	})
+	slices.SortFunc(pairs, orgs.CompareCountryOrg)
 	f := source.NewFrame(DatasetName, s.Date)
 	cc := f.AddStrings("CC")
 	org := f.AddStrings("Org")
@@ -34,6 +29,7 @@ func (s *Snapshot) Frame() *source.Frame {
 	bots := f.AddInts("Filtered Bots")
 	uas := f.AddFloats("User Agents")
 	bytes := f.AddFloats("Bytes")
+	f.Reserve(len(pairs))
 	for _, pair := range pairs {
 		st := s.Stats[pair]
 		cc.Strs = append(cc.Strs, pair.Country)
@@ -66,8 +62,10 @@ func SnapshotFromFrame(f *source.Frame) (*Snapshot, error) {
 	return s, nil
 }
 
-// Source adapts the generator to the uniform source interface, caching
-// the native snapshots day-keyed.
+// Source adapts the generator to the uniform source interface. The
+// day-keyed native cache serves only the typed accessor, Snapshot;
+// Generate converts a transient artifact, leaving the frame to the
+// registry's cache alone.
 type Source struct {
 	gen  *Generator
 	days *source.Days[*Snapshot]
@@ -99,7 +97,7 @@ func (s *Source) Snapshot(d dates.Date) *Snapshot {
 
 // Generate implements source.Source.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Snapshot(d).Frame()
+	return s.gen.Generate(d).Frame()
 }
 
 // CacheStats reports the native snapshot cache's activity.

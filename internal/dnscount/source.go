@@ -2,7 +2,7 @@ package dnscount
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/obsv"
@@ -21,16 +21,12 @@ func (ds *Dataset) Frame() *source.Frame {
 	for pair := range ds.Queries {
 		pairs = append(pairs, pair)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Country != pairs[j].Country {
-			return pairs[i].Country < pairs[j].Country
-		}
-		return pairs[i].Org < pairs[j].Org
-	})
+	slices.SortFunc(pairs, orgs.CompareCountryOrg)
 	f := source.NewFrame(DatasetName, ds.Date)
 	cc := f.AddStrings("CC")
 	org := f.AddStrings("Org")
 	q := f.AddFloats("Queries")
+	f.Reserve(len(pairs))
 	for _, pair := range pairs {
 		cc.Strs = append(cc.Strs, pair.Country)
 		org.Strs = append(org.Strs, pair.Org)
@@ -52,8 +48,10 @@ func DatasetFromFrame(f *source.Frame) (*Dataset, error) {
 	return ds, nil
 }
 
-// Source adapts the generator to the uniform source interface, caching
-// the native datasets day-keyed.
+// Source adapts the generator to the uniform source interface. The
+// day-keyed native cache serves only the typed accessor, Dataset;
+// Generate converts a transient artifact, leaving the frame to the
+// registry's cache alone.
 type Source struct {
 	gen  *Generator
 	days *source.Days[*Dataset]
@@ -85,7 +83,7 @@ func (s *Source) Dataset(d dates.Date) *Dataset {
 
 // Generate implements source.Source.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Dataset(d).Frame()
+	return s.gen.Generate(d).Frame()
 }
 
 // CacheStats reports the native dataset cache's activity.

@@ -2,7 +2,7 @@ package itu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/obsv"
@@ -50,10 +50,11 @@ func (t *Table) Frame() *source.Frame {
 	for cc := range t.Users {
 		ccs = append(ccs, cc)
 	}
-	sort.Strings(ccs)
+	slices.Sort(ccs)
 	f := source.NewFrame(DatasetName, t.Date)
 	cc := f.AddStrings("CC")
 	users := f.AddFloats("Users")
+	f.Reserve(len(ccs))
 	for _, c := range ccs {
 		cc.Strs = append(cc.Strs, c)
 		users.Floats = append(users.Floats, t.Users[c])
@@ -74,8 +75,10 @@ func TableFromFrame(f *source.Frame) (*Table, error) {
 	return t, nil
 }
 
-// Source adapts the estimator to the uniform source interface, caching
-// the native tables day-keyed.
+// Source adapts the estimator to the uniform source interface. The
+// day-keyed native cache serves only the typed accessor, Table;
+// Generate converts a transient artifact, leaving the frame to the
+// registry's cache alone.
 type Source struct {
 	est  *Estimator
 	days *source.Days[*Table]
@@ -107,7 +110,7 @@ func (s *Source) Table(d dates.Date) *Table {
 
 // Generate implements source.Source.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Table(d).Frame()
+	return s.est.Generate(d).Frame()
 }
 
 // CacheStats reports the native table cache's activity.

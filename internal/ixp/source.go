@@ -2,7 +2,7 @@ package ixp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/obsv"
@@ -19,28 +19,22 @@ const DatasetName = "ixp"
 // capacities are always positive, so the encoding is lossless —
 // SnapshotFromFrame reconstructs an equal snapshot).
 func (s *Snapshot) Frame() *source.Frame {
-	set := make(map[orgs.CountryOrg]struct{}, len(s.PNI))
+	pairs := make([]orgs.CountryOrg, 0, len(s.Capacities)+len(s.PNI))
 	for pair := range s.Capacities {
-		set[pair] = struct{}{}
-	}
-	for pair := range s.PNI {
-		set[pair] = struct{}{}
-	}
-	pairs := make([]orgs.CountryOrg, 0, len(set))
-	for pair := range set {
 		pairs = append(pairs, pair)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Country != pairs[j].Country {
-			return pairs[i].Country < pairs[j].Country
-		}
-		return pairs[i].Org < pairs[j].Org
-	})
+	for pair := range s.PNI {
+		pairs = append(pairs, pair)
+	}
+	// A pair in both maps sorts next to its twin; Compact keeps one.
+	slices.SortFunc(pairs, orgs.CompareCountryOrg)
+	pairs = slices.Compact(pairs)
 	f := source.NewFrame(DatasetName, s.Date)
 	cc := f.AddStrings("CC")
 	org := f.AddStrings("Org")
 	cap := f.AddFloats("Capacity")
 	pni := f.AddFloats("PNI")
+	f.Reserve(len(pairs))
 	for _, pair := range pairs {
 		cc.Strs = append(cc.Strs, pair.Country)
 		org.Strs = append(org.Strs, pair.Org)
@@ -74,8 +68,10 @@ func SnapshotFromFrame(f *source.Frame) (*Snapshot, error) {
 	return s, nil
 }
 
-// Source adapts the generator to the uniform source interface, caching
-// the native scrapes day-keyed.
+// Source adapts the generator to the uniform source interface. The
+// day-keyed native cache serves only the typed accessor, Snapshot;
+// Generate converts a transient artifact, leaving the frame to the
+// registry's cache alone.
 type Source struct {
 	gen  *Generator
 	days *source.Days[*Snapshot]
@@ -107,7 +103,7 @@ func (s *Source) Snapshot(d dates.Date) *Snapshot {
 
 // Generate implements source.Source.
 func (s *Source) Generate(d dates.Date) *source.Frame {
-	return s.Snapshot(d).Frame()
+	return s.gen.Generate(d).Frame()
 }
 
 // CacheStats reports the native scrape cache's activity.

@@ -2,7 +2,7 @@ package mlab
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/obsv"
@@ -22,16 +22,12 @@ func (ds *Dataset) Frame() *source.Frame {
 	for pair := range ds.Counts {
 		pairs = append(pairs, pair)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Country != pairs[j].Country {
-			return pairs[i].Country < pairs[j].Country
-		}
-		return pairs[i].Org < pairs[j].Org
-	})
+	slices.SortFunc(pairs, orgs.CompareCountryOrg)
 	f := source.NewFrame(DatasetName, ds.Month)
 	cc := f.AddStrings("CC")
 	org := f.AddStrings("Org")
 	tests := f.AddFloats("Tests")
+	f.Reserve(len(pairs))
 	for _, pair := range pairs {
 		cc.Strs = append(cc.Strs, pair.Country)
 		org.Strs = append(org.Strs, pair.Org)

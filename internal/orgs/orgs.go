@@ -6,8 +6,10 @@
 package orgs
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Type classifies what kind of network an organization operates. The type
@@ -85,6 +87,12 @@ type CountryAS struct {
 type CountryOrg struct {
 	Country string
 	Org     string // Org.ID
+}
+
+// CompareCountryOrg orders pairs by country, then org: the row order of
+// every per-(country, org) dataset frame.
+func CompareCountryOrg(a, b CountryOrg) int {
+	return cmp.Or(strings.Compare(a.Country, b.Country), strings.Compare(a.Org, b.Org))
 }
 
 // Registry resolves ASes to their owning organizations.

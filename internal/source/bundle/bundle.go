@@ -37,8 +37,14 @@ type Config struct {
 }
 
 // Bundle is the assembled roster: the uniform registry plus the typed
-// adapters, so consumers needing native artifacts (reports, snapshots)
-// skip the frame conversion while still sharing the same day caches.
+// adapters. The two hold different things. The registry caches frames,
+// and its sources' Generate converts a transient native artifact, so a
+// consumer that reads only frames (the HTTP server) holds each day once.
+// The adapters' typed accessors (Report, Snapshot, Dataset, Table) fill
+// their own native day caches for consumers that read the rich types
+// (the experiment lab), which skip the frame conversion entirely. Only
+// mlab shares one cache between the two: its month-keyed native dataset
+// stands behind every frame of the month.
 type Bundle struct {
 	Registry *source.Registry
 

@@ -181,6 +181,33 @@ func (f *Frame) AddInts(name string) *Column { return f.addCol(name, Int) }
 // AddFloats appends an empty float column.
 func (f *Frame) AddFloats(name string) *Column { return f.addCol(name, Float) }
 
+// Reserve gives every column room for n more cells, with capacity
+// exactly len+n. A conversion that knows its row count calls it after
+// adding the columns, so each column is one allocation instead of an
+// append-doubling chain, and a cached frame carries no slack capacity.
+func (f *Frame) Reserve(n int) {
+	for _, c := range f.Cols {
+		switch c.Kind {
+		case String:
+			c.Strs = reserve(c.Strs, n)
+		case Int:
+			c.Ints = reserve(c.Ints, n)
+		default:
+			c.Floats = reserve(c.Floats, n)
+		}
+	}
+}
+
+// reserve returns s with room for n more elements. Unlike slices.Grow,
+// whose append rounds up to the allocator's size class, the capacity is
+// exact.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
 // Col returns the column with the given name, or nil.
 func (f *Frame) Col(name string) *Column {
 	for _, c := range f.Cols {
@@ -189,6 +216,22 @@ func (f *Frame) Col(name string) *Column {
 		}
 	}
 	return nil
+}
+
+// TypedCol returns the named column when it exists, has the given kind
+// and spans every row, so a reader may index its cells by any row
+// number below Rows without a further check.
+func (f *Frame) TypedCol(name string, kind Kind) (*Column, error) {
+	c := f.Col(name)
+	switch {
+	case c == nil:
+		return nil, fmt.Errorf("source: %s frame has no column %q", f.Source, name)
+	case c.Kind != kind:
+		return nil, fmt.Errorf("source: %s frame column %q is %s, want %s", f.Source, name, c.Kind, kind)
+	case c.Len() != f.Rows():
+		return nil, fmt.Errorf("source: %s frame column %q has %d cells, want %d", f.Source, name, c.Len(), f.Rows())
+	}
+	return c, nil
 }
 
 // Rows returns the row count (the length of the first column).
